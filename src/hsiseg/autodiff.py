@@ -588,25 +588,33 @@ def maxpool2d(x, size=2):
     return Tensor._from_op(out, (x,), "maxpool2d", bw)
 
 
+def _bilinear_taps(coords, n, factor, dtype):
+    """Source taps of output coordinates along one axis of length ``n``.
+
+    Output pixel i samples the input at (i+0.5)/f - 0.5, clipped to the
+    edges. Returns (i0, i1, w0, w1) with weights in ``dtype``."""
+    src = (np.asarray(coords) + 0.5) / factor - 0.5
+    src = np.clip(src, 0, n - 1)
+    i0 = np.floor(src).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n - 1)
+    frac = (src - i0).astype(dtype)
+    return i0, i1, 1 - frac, frac
+
+
+def _check_factor(name, factor):
+    if factor < 1 or int(factor) != factor:
+        raise ContractError(f"{name}: bad factor {factor}")
+    return int(factor)
+
+
 def bilinear_upsample(x, factor):
     """Upsample (C, H, W) by an integer factor; sample centers at (i+0.5)/f - 0.5."""
-    if factor < 1 or int(factor) != factor:
-        raise ContractError(f"bilinear_upsample: bad factor {factor}")
-    factor = int(factor)
+    factor = _check_factor("bilinear_upsample", factor)
     c, h, w = x.shape
-
-    def _axis(n):
-        src = (np.arange(n * factor) + 0.5) / factor - 0.5
-        src = np.clip(src, 0, n - 1)
-        i0 = np.floor(src).astype(int)
-        i1 = np.minimum(i0 + 1, n - 1)
-        frac = src - i0
-        return i0, i1, frac
-
-    y0, y1, fy = _axis(h)
-    x0, x1, fx = _axis(w)
-    wy0, wy1 = (1.0 - fy)[None, :, None], fy[None, :, None]
-    wx0, wx1 = (1.0 - fx)[None, None, :], fx[None, None, :]
+    y0, y1, wy0, wy1 = _bilinear_taps(np.arange(h * factor), h, factor, x.dtype)
+    x0, x1, wx0, wx1 = _bilinear_taps(np.arange(w * factor), w, factor, x.dtype)
+    wy0, wy1 = wy0[None, :, None], wy1[None, :, None]
+    wx0, wx1 = wx0[None, None, :], wx1[None, None, :]
     d = x.data
     out = wy0 * (wx0 * d[:, y0[:, None], x0[None, :]] + wx1 * d[:, y0[:, None], x1[None, :]]) \
         + wy1 * (wx0 * d[:, y1[:, None], x0[None, :]] + wx1 * d[:, y1[:, None], x1[None, :]])
@@ -620,6 +628,37 @@ def bilinear_upsample(x, factor):
         _accumulate(x, dx)
 
     return Tensor._from_op(out, (x,), "bilinear_upsample", bw)
+
+
+def sample_bilinear(x, ys, xs, factor):
+    """Rows of ``bilinear_upsample(x, factor)`` at pixels (ys, xs), as (P, C).
+
+    Only the four taps of each requested pixel are read, so the result equals
+    upsampling then selecting without building the full-resolution map."""
+    factor = _check_factor("sample_bilinear", factor)
+    c, h, w = x.shape
+    ys = np.asarray(ys, dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
+    if ys.shape != xs.shape or ys.ndim != 1:
+        raise ContractError(f"sample_bilinear: coordinates {ys.shape} and {xs.shape}")
+    if ys.size and (ys.min() < 0 or xs.min() < 0 or ys.max() >= h * factor
+                    or xs.max() >= w * factor):
+        raise ContractError(f"sample_bilinear: points outside {h * factor}x{w * factor}")
+    y0, y1, wy0, wy1 = _bilinear_taps(ys, h, factor, x.dtype)
+    x0, x1, wx0, wx1 = _bilinear_taps(xs, w, factor, x.dtype)
+    wy0, wy1, wx0, wx1 = wy0[:, None], wy1[:, None], wx0[:, None], wx1[:, None]
+    d = x.data.transpose(1, 2, 0)  # (H, W, C): each tap gathers whole rows
+    out = wy0 * (wx0 * d[y0, x0] + wx1 * d[y0, x1]) + wy1 * (wx0 * d[y1, x0] + wx1 * d[y1, x1])
+
+    def bw(g):
+        taps = ((y0, x0, wy0 * wx0), (y0, x1, wy0 * wx1), (y1, x0, wy1 * wx0), (y1, x1, wy1 * wx1))
+        channel = np.arange(c)
+        index = np.concatenate([((yi * w + xi) * c)[:, None] + channel for yi, xi, _ in taps])
+        weight = np.concatenate([wt * g for _, _, wt in taps])
+        dx = np.bincount(index.ravel(), weight.ravel(), minlength=h * w * c)
+        _accumulate(x, dx.reshape(h, w, c).transpose(2, 0, 1).astype(x.dtype, copy=False))
+
+    return Tensor._from_op(out, (x,), "sample_bilinear", bw)
 
 
 # -- indexed gathers and scatters -------------------------------------------------------------
@@ -643,10 +682,10 @@ def scatter_mean(x, index, num_groups):
     index = np.asarray(index, dtype=np.intp)
     if index.shape[0] != x.shape[0]:
         raise ContractError(f"scatter_mean: {index.shape[0]} indices for {x.shape[0]} rows")
-    counts = np.bincount(index, minlength=num_groups)
+    counts = np.maximum(np.bincount(index, minlength=num_groups), 1).astype(x.dtype)
     sums = np.zeros((num_groups, x.shape[1]), dtype=x.data.dtype)
     np.add.at(sums, index, x.data)
-    out = sums / np.maximum(counts, 1)[:, None]
+    out = sums / counts[:, None]
 
     def bw(g):
         _accumulate(x, g[index] / counts[index][:, None])
@@ -702,8 +741,12 @@ def poly_lr(initial, iteration, max_iter, power=0.9):
 # -- finite-difference verification --------------------------------------------------------------
 
 
-def _check_finite(out):
-    """Walk the tape below ``out``; report the op that introduced non-finite values."""
+def nonfinite_op(out):
+    """Walk the tape below ``out``; name the op that introduced non-finite values.
+
+    Returns None when every value on the tape is finite. The op is the deepest
+    offender: a node with non-finite output from finite inputs. A named
+    parameter that holds non-finite values is reported by its name."""
     stack = [out]
     seen = set()
     culprit = None
@@ -713,13 +756,14 @@ def _check_finite(out):
             continue
         seen.add(id(node))
         if not np.all(np.isfinite(node.data)):
-            # deepest offender: bad output from finite inputs
-            if all(np.all(np.isfinite(p.data)) for p in node._parents):
-                raise GradCheckError(f"non-finite values produced by op {node._op!r}")
             culprit = node
+            if all(np.all(np.isfinite(p.data)) for p in node._parents):
+                break
         stack.extend(node._parents)
-    if culprit is not None:
-        raise GradCheckError(f"non-finite values produced by op {culprit._op!r}")
+    if culprit is None:
+        return None
+    name = getattr(culprit, "name", "")
+    return f"{culprit._op} {name}" if name else culprit._op
 
 
 def grad_check(f, xs, eps=1e-5):
@@ -740,7 +784,9 @@ def grad_check(f, xs, eps=1e-5):
     out = f(*xs)
     if out.data.size != 1:
         raise ContractError("grad_check: program must be scalar-valued")
-    _check_finite(out)
+    culprit = nonfinite_op(out)
+    if culprit is not None:
+        raise GradCheckError(f"non-finite values produced by op {culprit!r}")
     out.backward()
     grads = [np.zeros_like(x.data) if x.grad is None else x.grad.copy() for x in xs]
     worst = 0.0

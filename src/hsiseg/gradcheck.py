@@ -94,6 +94,14 @@ def primitive_programs(rng):
     yield "bilinear_upsample", (lambda x: (ad.bilinear_upsample(x, 2) * wup).sum()), \
         Tensor(rng.standard_normal((2, 4, 3)))
 
+    # own generator, so the draws of every other program stay as they were
+    own = np.random.default_rng(20230419)
+    ys = np.concatenate([[0, 7, 7], own.integers(0, 8, 6)])
+    xs = np.concatenate([[0, 5, 0], own.integers(0, 6, 6)])
+    wsb = Tensor(own.standard_normal((9, 2)))
+    yield "sample_bilinear", (lambda x: (ad.sample_bilinear(x, ys, xs, 2) * wsb).sum()), \
+        Tensor(own.standard_normal((2, 4, 3)))
+
     idx = np.array([0, 2, 2, 4, 1])
     wg = _coeff(rng, (5, 3))
     yield "gather_rows", (lambda x: (ad.gather_rows(x, idx) * wg).sum()), \

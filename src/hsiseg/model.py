@@ -3,9 +3,11 @@
 A truncated VGG-style backbone keeps the feature map at stride 4 (pools only
 after the first two stages), a 3x3 convolution reduces the width to the
 context channel count, the dual context module enriches the map, and 3x3
-classifier heads plus x4 bilinear upsampling produce dense logits. An
-auxiliary head reads the stage-3 feature. The loss is softmax cross entropy
-over labeled pixels with the auxiliary term weighted 0.4.
+classifier heads produce stride-4 logits, which inference upsamples x4
+bilinearly to dense logits. An auxiliary head reads the stage-3 feature. The
+loss is softmax cross entropy over labeled pixels with the auxiliary term
+weighted 0.4; training samples the stride-4 logits at the labeled pixels
+only, which equals upsampling and then selecting them.
 """
 
 from __future__ import annotations
@@ -89,6 +91,16 @@ class Backbone:
         return [p for stage in self.stages for conv in stage for p in conv.parameters()]
 
 
+def _logit_factor(logit_shape, label_shape):
+    """1 for full-resolution logits, 4 for the stride-4 map of the padded input."""
+    logit_shape, label_shape = tuple(logit_shape), tuple(label_shape)
+    if logit_shape == label_shape:
+        return 1
+    if logit_shape == tuple(-(-n // 4) for n in label_shape):
+        return 4
+    raise ContractError(f"labels {label_shape} do not match logits {logit_shape}")
+
+
 class DualContextNet:
     """Backbone + reduction conv + dual context module + classifier heads."""
 
@@ -151,18 +163,21 @@ class DualContextNet:
         return Tensor(x), (h, w)
 
     def forward_from_tensor(self, x):
-        """Run the padded, normalized (3, H', W') tensor through the network."""
+        """Run the padded, normalized (3, H', W') tensor through the network.
+
+        Returns the stride-4 (main logits, aux logits, areas); the logit maps
+        are (num_classes, H'/4, W'/4)."""
         stage3, stage4 = self.backbone.forward(x)
         features = self.reduce(stage4)
         enriched, areas = self.context(features)
-        main = ad.bilinear_upsample(self.head(enriched), 4)
-        aux = ad.bilinear_upsample(self.aux_head(stage3), 4)
-        return main, aux, areas
+        return self.head(enriched), self.aux_head(stage3), areas
 
     def forward(self, image):
         """uint8 image -> (main logits, aux logits), each (num_classes, H, W)."""
         x, (h, w) = self.prepare_input(image)
         main, aux, _ = self.forward_from_tensor(x)
+        main = ad.bilinear_upsample(main, 4)
+        aux = ad.bilinear_upsample(aux, 4)
         if main.shape[1:] != (h, w):
             main = ad.crop2d(main, h, w)
             aux = ad.crop2d(aux, h, w)
@@ -177,29 +192,33 @@ class DualContextNet:
     # -- loss and prediction ----------------------------------------------------------
 
     def loss(self, main_logits, aux_logits, labels):
-        """Cross entropy over labeled pixels only: main + 0.4 * auxiliary."""
+        """Cross entropy over labeled pixels only: main + 0.4 * auxiliary.
+
+        The logits are either full resolution, matching the (H, W) label map,
+        or the stride-4 maps of the reflect-padded input, (ceil(H/4),
+        ceil(W/4)). Either way they are sampled bilinearly at the labeled
+        pixels, at factor 1 or 4; at factor 1 the sample is the pixel itself."""
         lab = labels.labels if isinstance(labels, LabelMap) else np.asarray(labels)
-        if lab.shape != main_logits.shape[1:]:
+        factor = _logit_factor(main_logits.shape[1:], lab.shape)
+        if aux_logits.shape != main_logits.shape:
             raise ContractError(
-                f"labels {lab.shape} do not match logits {main_logits.shape[1:]}")
-        flat = lab.reshape(-1).astype(np.int64)
-        labeled = np.nonzero(flat)[0]
-        if labeled.size == 0:
+                f"aux logits {aux_logits.shape} do not match main logits {main_logits.shape}")
+        ys, xs = np.nonzero(lab)
+        if ys.size == 0:
             raise ContractError("loss needs at least one labeled pixel")
-        onehot = np.zeros((labeled.size, self.num_classes), dtype=main_logits.dtype)
-        onehot[np.arange(labeled.size), flat[labeled] - 1] = 1.0
+        onehot = np.zeros((ys.size, self.num_classes), dtype=main_logits.dtype)
+        onehot[np.arange(ys.size), lab[ys, xs].astype(np.int64) - 1] = 1.0
         onehot = Tensor(onehot)
 
-        def masked_ce(logits):
-            c = logits.shape[0]
-            tokens = ad.transpose(ad.reshape(logits, (c, -1)))
-            picked = ad.gather_rows(ad.log_softmax(tokens, axis=-1), labeled)
-            return (picked * onehot).sum() * (-1.0 / labeled.size)
+        def labeled_ce(logits):
+            rows = ad.sample_bilinear(logits, ys, xs, factor)
+            return (ad.log_softmax(rows, axis=-1) * onehot).sum() * (-1.0 / ys.size)
 
-        return masked_ce(main_logits) + 0.4 * masked_ce(aux_logits)
+        return labeled_ce(main_logits) + 0.4 * labeled_ce(aux_logits)
 
     def loss_on(self, image, labels):
-        main, aux = self.forward(image)
+        x, _ = self.prepare_input(image)
+        main, aux, _ = self.forward_from_tensor(x)
         return self.loss(main, aux, labels)
 
     def predict_probabilities(self, image):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError
+from .errors import ContractError, DataError
 from .formats import (
     ClassMap,
     LabelMap,
@@ -109,6 +109,10 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
                 loss = model.loss_on(tri_set.images[int(i)], labels)
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(chunk))
+            if not np.isfinite(total.data).all():
+                raise DataError(
+                    f"non-finite loss {total.item()!r} at iteration {iteration} on images "
+                    f"{[int(i) for i in chunk]}, produced by op {ad.nonfinite_op(total)!r}")
             total.backward()
             opt.step(lr)
             train_rows.append((iteration, lr, total.item()))
@@ -155,11 +159,12 @@ def hard_vote(maps) -> ClassMap:
     _check_same_shapes([m.labels.shape for m in maps])
     num_classes = max(int(m.labels.max()) for m in maps)
     h, w = maps[0].labels.shape
-    counts = np.zeros((num_classes, h, w), dtype=np.int32)
-    rows, cols = np.indices((h, w))
+    counts = np.zeros((num_classes, h * w), dtype=np.int32)
+    pixels = np.arange(h * w)
     for m in maps:
-        np.add.at(counts, (m.labels.astype(np.int64) - 1, rows, cols), 1)
-    return ClassMap(counts.argmax(axis=0) + 1)
+        # each pixel holds one class per map, so no (class, pixel) pair repeats
+        counts[m.labels.ravel().astype(np.intp) - 1, pixels] += 1
+    return ClassMap(counts.argmax(axis=0).reshape(h, w) + 1)
 
 
 def soft_vote(maps) -> ClassMap:
@@ -186,8 +191,7 @@ def evaluate(pred: ClassMap, truth: LabelMap) -> Metrics:
     t = truth.labels[mask].astype(np.int64)
     p = pred.labels[mask].astype(np.int64)
     k = int(max(t.max(), p.max()))
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (t - 1, p - 1), 1)
+    confusion = np.bincount((t - 1) * k + (p - 1), minlength=k * k).reshape(k, k)
 
     row = confusion.sum(axis=1)
     col = confusion.sum(axis=0)

@@ -135,6 +135,53 @@ class TestInvariants:
         assert run() == run()
 
 
+class TestSampleBilinear:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("factor", [1, 4])
+    def test_rows_equal_upsampled_pixels(self, dtype, factor):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((3, 5, 7)).astype(dtype))
+        ys = np.array([0, 19, 19, 3, 10, 10]) % (5 * factor)
+        xs = np.array([0, 27, 0, 14, 5, 5]) % (7 * factor)
+        rows = ad.sample_bilinear(x, ys, xs, factor)
+        full = ad.bilinear_upsample(x, factor)
+        assert rows.dtype == full.dtype == dtype
+        np.testing.assert_array_equal(rows.data, full.data[:, ys, xs].T)
+
+    def test_gradient_equals_upsample_then_select(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        ys = rng.integers(0, 16, 20)
+        xs = rng.integers(0, 12, 20)
+        w = rng.standard_normal((20, 2))
+        (ad.sample_bilinear(x, ys, xs, 4) * Tensor(w)).sum().backward()
+        sampled = x.grad
+        x.grad = None
+        cot = np.zeros((2, 16, 12))
+        np.add.at(cot, (slice(None), ys, xs), w.T)
+        (ad.bilinear_upsample(x, 4) * Tensor(cot)).sum().backward()
+        np.testing.assert_allclose(sampled, x.grad, rtol=1e-13, atol=1e-14)
+
+    def test_points_outside_rejected(self):
+        x = Tensor(np.zeros((1, 2, 2)))
+        with pytest.raises(ContractError):
+            ad.sample_bilinear(x, [8], [0], 4)
+        with pytest.raises(ContractError):
+            ad.sample_bilinear(x, [0, 1], [0], 4)
+
+
+class TestDtype:
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((6, 3)).astype(np.float32), requires_grad=True)
+        means = ad.scatter_mean(x, np.array([0, 1, 0, 2, 1, 0]), 4)
+        image = Tensor(rng.standard_normal((2, 3, 3)).astype(np.float32), requires_grad=True)
+        up = ad.bilinear_upsample(image, 4)
+        assert means.dtype == up.dtype == np.float32
+        (means.sum() + up.sum()).backward()
+        assert x.grad.dtype == image.grad.dtype == np.float32
+
+
 class TestSgd:
     def test_plain_gradient_step(self):
         p = Parameter(np.array([1.0, 2.0]), group="backbone")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hsiseg.autodiff as ad
 from hsiseg.autodiff import SGD, Tensor
 from hsiseg.errors import ConfigError, ContractError
 from hsiseg.model import Backbone, BackboneConfig, DualContextNet
@@ -181,6 +182,91 @@ class TestLoss:
             head_lr_multiplier=10.0).step(1e-4)
         after = model.loss_on(img, labels)
         assert after.item() < before.item()
+
+
+def desk_model(dtype):
+    """The criterion-8 net: widths 16..64, convs 1,1,2,2, C=32, Z=16, T=3, h=2."""
+    return DualContextNet(
+        num_classes=9, backbone=BackboneConfig(widths=(16, 32, 64, 64),
+                                               convs_per_stage=(1, 1, 2, 2)),
+        channels=32, num_areas=16, iterations=3, heads=2, seed=1, dtype=dtype)
+
+
+def random_labels(rng, h, w, count, classes):
+    labels = np.zeros(h * w, np.uint16)
+    labels[rng.choice(h * w, count, replace=False)] = rng.integers(1, classes + 1, count)
+    return labels.reshape(h, w)
+
+
+class TestStrideFourLoss:
+    """Training samples the stride-4 logits at labeled pixels; this must equal
+    upsampling them x4, cropping, and taking cross entropy at those pixels."""
+
+    @staticmethod
+    def reference_loss(model, image, labels):
+        x, (h, w) = model.prepare_input(image)
+        main, aux, _ = model.forward_from_tensor(x)
+        flat = labels.reshape(-1).astype(np.int64)
+        labeled = np.nonzero(flat)[0]
+        onehot = np.zeros((labeled.size, model.num_classes))
+        onehot[np.arange(labeled.size), flat[labeled] - 1] = 1.0
+
+        def ce(logits):
+            full = ad.crop2d(ad.bilinear_upsample(logits, 4), h, w)
+            tokens = ad.transpose(ad.reshape(full, (model.num_classes, -1)))
+            picked = ad.gather_rows(tokens, labeled)
+            return (ad.log_softmax(picked, axis=-1) * Tensor(onehot)).sum() * (-1.0 / labeled.size)
+
+        return ce(main) + 0.4 * ce(aux)
+
+    @pytest.mark.parametrize("size", [32, 30])
+    def test_matches_upsample_then_select(self, size):
+        rng = np.random.default_rng(size)
+        image = rng.integers(0, 256, (3, size, size)).astype(np.uint8)
+        labels = random_labels(rng, size, size, 60, 9)
+        model = desk_model(np.float64)
+        params = model.parameters()
+
+        loss = model.loss_on(image, labels)
+        loss.backward()
+        grads = [p.grad.copy() for p in params]
+        model.zero_grad()
+        expected = self.reference_loss(model, image, labels)
+        expected.backward()
+
+        np.testing.assert_allclose(loss.item(), expected.item(), rtol=1e-13)
+        for p, g in zip(params, grads):
+            np.testing.assert_allclose(g, p.grad, rtol=1e-9, atol=1e-13, err_msg=p.name)
+
+    def test_logits_at_other_scales_rejected(self):
+        model = tiny_model()
+        labels = np.ones((30, 30), np.uint16)
+
+        def logits(h, w):
+            return Tensor(np.zeros((3, h, w)))
+
+        model.loss(logits(8, 8), logits(8, 8), labels)  # stride 4 of the 32x32 padding
+        for h, w in ((7, 8), (15, 15), (16, 16)):
+            with pytest.raises(ContractError):
+                model.loss(logits(h, w), logits(h, w), labels)
+
+    def test_float32_tape_has_no_other_dtype(self):
+        rng = np.random.default_rng(31)
+        image = rng.integers(0, 256, (3, 32, 32)).astype(np.uint8)
+        labels = random_labels(rng, 32, 32, 60, 9)
+        model = desk_model(np.float32)
+        loss = model.loss_on(image, labels)
+        seen, stack, foreign = set(), [loss], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._parents and node.dtype != model.dtype:
+                foreign.append(node._op)
+            stack.extend(node._parents)
+        assert len(seen) > 500
+        assert foreign == []
 
 
 class TestFullScale:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsiseg.errors import ContractError
+from hsiseg.errors import ContractError, DataError
 from hsiseg.formats import ClassMap, LabelMap, ProbMap
 from hsiseg.model import BackboneConfig, DualContextNet
 from hsiseg.pipeline import (
@@ -220,6 +220,25 @@ class TestTrain:
         with pytest.raises(ContractError):
             train(_tiny_set(), LabelMap(np.zeros((16, 16), np.uint16)),
                   _tiny_model(), TrainConfig())
+
+    def test_non_finite_loss_stops_before_any_step(self):
+        model = _tiny_model()
+        model.head.weight.data[0, 0, 1, 1] = np.inf
+        before = [p.data.copy() for p in model.parameters()]
+        cfg = TrainConfig(epochs=1, batch=2, seed=0, val_fraction=0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(DataError) as exc:
+                train(_tiny_set(), _sparse_labels(), model, cfg)
+        message = str(exc.value)
+        assert "iteration 0" in message
+        assert "head.weight" in message
+        rng = np.random.default_rng(cfg.seed)  # train's draws: the split, then the epoch order
+        rng.permutation(4)
+        first_batch = [int(i) for i in rng.permutation(np.arange(4))[:2]]
+        assert f"images {first_batch}" in message
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old, err_msg=p.name)
+            assert p.grad is None
 
     def test_log_files_written(self, tmp_path):
         model = _tiny_model()
