@@ -103,7 +103,9 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
-        Repeated calls keep accumulating; ``zero_grad`` resets.
+        Repeated calls keep accumulating into the leaves; ``zero_grad`` resets.
+        Interior nodes drop their gradient once it has been passed on, so a
+        second call on the same tape adds exactly one more gradient.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -126,6 +128,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar ----------------------------------------------------------
 
@@ -321,10 +324,9 @@ def log(a):
 
 def transpose(a, axes=None):
     out = np.transpose(a.data, axes)
-    inv = None if axes is None else np.argsort(axes)
 
     def bw(g):
-        _accumulate(a, np.transpose(g, inv))
+        _accumulate(a, np.transpose(g, None if axes is None else np.argsort(axes)))
 
     return Tensor._from_op(out, (a,), "transpose", bw)
 
@@ -403,15 +405,20 @@ def tensor_mean(a, axis=None, keepdims=False):
 
 
 def matmul(a, b):
+    """Matrix product over the last two axes; leading axes broadcast as a batch."""
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ContractError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    out = a.data @ b.data
+    incompatible = f"matmul: shapes {a.shape} and {b.shape} are incompatible"
+    if a.ndim < 2 or b.ndim < 2:
+        raise ContractError(incompatible)
+    try:
+        out = a.data @ b.data
+    except ValueError:
+        raise ContractError(incompatible)
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor._from_op(out, (a, b), "matmul", bw)
 

@@ -110,18 +110,18 @@ def _cmd_train(args):
     return 0
 
 
-def _load_model(ckpt_path, seed=0):
+def _load_model(ckpt_path):
     sidecar = ckpt_path + ".cfg"
     if not os.path.exists(sidecar):
         raise ConfigError(f"no sidecar config {sidecar} next to the checkpoint")
     cfg = load_config(sidecar)
-    model = model_from_config(cfg, cfg.get_int("model.classes"), seed=seed)
+    model = model_from_config(cfg, cfg.get_int("model.classes"))
     model.load(ckpt_path)
     return model, cfg
 
 
 def _cmd_predict(args):
-    model, _ = _load_model(args.ckpt, seed=args.seed or 0)
+    model, _ = _load_model(args.ckpt)
     tri_set = trispec.load_set(args.set)
     truth = load_labels(args.truth) if args.truth else None
     pipeline.run_inference_set(model, tri_set, out_dir=args.out, truth=truth,
@@ -171,7 +171,7 @@ def _cmd_eval(args):
 def _cmd_areas(args):
     image = read_ppm(args.image)
     if args.checkpoint:
-        model, cfg = _load_model(args.checkpoint, seed=args.seed or 0)
+        model, cfg = _load_model(args.checkpoint)
         num_areas = args.areas or cfg.get_int("dcm.Z")
         iters = args.iters or cfg.get_int("dcm.T")
         features = model.features(image).detach()
@@ -234,7 +234,6 @@ def build_parser():
     p.add_argument("--groups", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wavelength-descending", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
@@ -254,21 +253,18 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="optional LBL1 truth for a metrics report")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("vote", help="fuse per-image predictions")
     p.add_argument("--mode", choices=("hard", "soft"), required=True)
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_vote)
 
     p = sub.add_parser("eval", help="score a prediction against labeled truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("areas", help="export the homogeneous area map of an image")
@@ -277,7 +273,6 @@ def build_parser():
     p.add_argument("--areas", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_areas)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all blocks")

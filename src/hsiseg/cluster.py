@@ -73,15 +73,8 @@ def make_grid(height, width, num_areas) -> GridLayout:
     cell = (row_band[:, None] * n_cols + col_band[None, :]).reshape(-1)
 
     # candidate window: the 3x3 grid-cell neighborhood, fixed for all iterations
-    cell_window = np.zeros((num_areas, num_areas), dtype=bool)
-    for r in range(n_rows):
-        for c in range(n_cols):
-            i = r * n_cols + c
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < n_rows and 0 <= cc < n_cols:
-                        cell_window[i, rr * n_cols + cc] = True
+    r, c = np.divmod(np.arange(num_areas), n_cols)
+    cell_window = (np.abs(r[:, None] - r[None, :]) <= 1) & (np.abs(c[:, None] - c[None, :]) <= 1)
     return GridLayout(height, width, num_areas, n_rows, n_cols, cell, cell_window[cell])
 
 

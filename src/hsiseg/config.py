@@ -10,8 +10,6 @@ from .errors import ConfigError
 
 # key -> (default string, description)
 DEFAULTS = {
-    "trispec.G": ("15", "number of spectral groups"),
-    "trispec.wavelength_descending": ("false", "band index decreases with wavelength"),
     "backbone.widths": ("16,32,64,64", "channel width per backbone stage"),
     "backbone.convs": ("2,2,3,3", "convolutions per backbone stage"),
     "model.classes": ("0", "class count; 0 derives it from the label map"),

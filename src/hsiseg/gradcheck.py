@@ -44,6 +44,14 @@ def primitive_programs(rng):
     m = Tensor(rng.standard_normal((4, 5)))
     wm = _coeff(rng, (3, 5))
     yield "matmul", (lambda x: (ad.matmul(x, m) * wm).sum()), Tensor(x34.copy())
+    # own generator, so the draws of every other program stay as they were
+    bat = np.random.default_rng(20231105)
+    m45 = Tensor(bat.standard_normal((4, 5)), requires_grad=True)
+    m245 = Tensor(bat.standard_normal((2, 4, 5)), requires_grad=True)
+    wb1, wb2 = _coeff(bat, (2, 3, 5)), _coeff(bat, (2, 3, 5))
+    yield "matmul_batched", \
+        (lambda x, b, bb: (ad.matmul(x, b) * wb1).sum() + (ad.matmul(x, bb) * wb2).sum()), \
+        [Tensor(bat.standard_normal((2, 3, 4))), m45, m245]
     wt = _coeff(rng, (4, 3))
     yield "transpose", (lambda x: (ad.transpose(x) * wt).sum()), Tensor(x34.copy())
     wr = _coeff(rng, (2, 6))

@@ -206,8 +206,12 @@ class DualContextNet:
         ys, xs = np.nonzero(lab)
         if ys.size == 0:
             raise ContractError("loss needs at least one labeled pixel")
+        ids = lab[ys, xs].astype(np.int64)
+        if ids.max() > self.num_classes:
+            raise ContractError(
+                f"label id {ids.max()} exceeds the net's {self.num_classes} classes")
         onehot = np.zeros((ys.size, self.num_classes), dtype=main_logits.dtype)
-        onehot[np.arange(ys.size), lab[ys, xs].astype(np.int64) - 1] = 1.0
+        onehot[np.arange(ys.size), ids - 1] = 1.0
         onehot = Tensor(onehot)
 
         def labeled_ce(logits):

@@ -44,12 +44,14 @@ def uniform_init(rng, shape, fan_in, dtype):
 
 
 def attention_head(q, k, v, key_mask=None, return_weights=False):
-    """One attention head: q (Nq, d), k/v (Nk, d) -> (Nq, d).
+    """Attention over the last two axes: q (..., Nq, d), k/v (..., Nk, d) -> (..., Nq, d).
 
-    The softmax runs over the key axis, so each query row's weights sum to 1.
+    Leading axes are a batch (the heads, in ``MultiHeadAttention``). The
+    softmax runs over the key axis, so each query row's weights sum to 1.
     """
-    d = q.shape[1]
-    logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(d))
+    d = q.shape[-1]
+    k_t = ad.transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    logits = ad.matmul(q, k_t) * (1.0 / math.sqrt(d))
     if key_mask is not None:
         bias = np.where(np.asarray(key_mask, dtype=bool), 0.0, _MASKED_LOGIT)
         logits = logits + Tensor(bias.astype(logits.dtype))
@@ -63,40 +65,39 @@ class MultiHeadAttention:
 
     Queries come from the first input; keys and values from the second.
     Self-attention is the special case of passing the same tensor twice.
+    Each projection is one (C, C) matrix; head i owns its columns
+    i*d:(i+1)*d, and all heads attend in one batched pass.
     """
 
     def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="attn"):
-        c, d = cfg.channels, cfg.head_dim
+        c, h, d = cfg.channels, cfg.heads, cfg.head_dim
         self.cfg = cfg
-        self.wq, self.wk, self.wv = [], [], []
-        self.bq, self.bk, self.bv = [], [], []
-        for i in range(cfg.heads):
-            self.wq.append(Parameter(uniform_init(rng, (c, d), c, dtype), name=f"{prefix}.wq{i}"))
-            self.wk.append(Parameter(uniform_init(rng, (c, d), c, dtype), name=f"{prefix}.wk{i}"))
-            self.wv.append(Parameter(uniform_init(rng, (c, d), c, dtype), name=f"{prefix}.wv{i}"))
-            self.bq.append(Parameter(np.zeros(d, dtype), name=f"{prefix}.bq{i}"))
-            self.bk.append(Parameter(np.zeros(d, dtype), name=f"{prefix}.bk{i}"))
-            self.bv.append(Parameter(np.zeros(d, dtype), name=f"{prefix}.bv{i}"))
-        hd = cfg.heads * d
-        self.wo = Parameter(uniform_init(rng, (hd, c), hd, dtype), name=f"{prefix}.wo")
+        # drawn head by head (q, k, v per head), then joined column-wise
+        w = uniform_init(rng, (h, 3, c, d), c, dtype).transpose(1, 2, 0, 3).reshape(3, c, c)
+        self.wq, self.wk, self.wv = (Parameter(w[j], name=f"{prefix}.w{n}")
+                                     for j, n in enumerate("qkv"))
+        self.bq, self.bk, self.bv = (Parameter(np.zeros(c, dtype), name=f"{prefix}.b{n}")
+                                     for n in "qkv")
+        self.wo = Parameter(uniform_init(rng, (c, c), c, dtype), name=f"{prefix}.wo")
         self.bo = Parameter(np.zeros(c, dtype), name=f"{prefix}.bo")
 
+    def _split_heads(self, x, w, b):
+        """(N, C) tokens -> (h, N, d) per-head projections."""
+        shape = (x.shape[0], self.cfg.heads, self.cfg.head_dim)
+        return ad.transpose(ad.reshape(ad.matmul(x, w) + b, shape), (1, 0, 2))
+
     def __call__(self, x_q, x_kv, key_mask=None):
-        if x_q.shape[1] != self.cfg.channels or x_kv.shape[1] != self.cfg.channels:
-            raise ContractError(
-                f"attention expects {self.cfg.channels} channels, got {x_q.shape} and {x_kv.shape}"
-            )
-        heads = []
-        for i in range(self.cfg.heads):
-            q = ad.matmul(x_q, self.wq[i]) + self.bq[i]
-            k = ad.matmul(x_kv, self.wk[i]) + self.bk[i]
-            v = ad.matmul(x_kv, self.wv[i]) + self.bv[i]
-            heads.append(attention_head(q, k, v, key_mask))
-        joined = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+        c = self.cfg.channels
+        if x_q.shape[1] != c or x_kv.shape[1] != c:
+            raise ContractError(f"attention expects {c} channels, got {x_q.shape} and {x_kv.shape}")
+        heads = attention_head(self._split_heads(x_q, self.wq, self.bq),
+                               self._split_heads(x_kv, self.wk, self.bk),
+                               self._split_heads(x_kv, self.wv, self.bv), key_mask)
+        joined = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x_q.shape[0], c))
         return ad.matmul(joined, self.wo) + self.bo
 
     def parameters(self):
-        return [*self.wq, *self.wk, *self.wv, *self.bq, *self.bk, *self.bv, self.wo, self.bo]
+        return [self.wq, self.wk, self.wv, self.bq, self.bk, self.bv, self.wo, self.bo]
 
     def zero_output_projection(self):
         self.wo.data[:] = 0
@@ -142,7 +143,7 @@ class _Norm:
 class TransformerEncoderLayer:
     """Pre-norm residual pair: y = (x+p) + attn(norm(x+p)); out = y + mlp(norm(y))."""
 
-    def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="enc"):
+    def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="layer"):
         self.attn = MultiHeadAttention(cfg, rng, dtype, prefix=f"{prefix}.attn")
         self.mlp = Mlp(cfg, rng, dtype, prefix=f"{prefix}.mlp")
         self.norm1 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm1")
@@ -163,26 +164,12 @@ class TransformerEncoderLayer:
         self.mlp.zero_output_projection()
 
 
-class TransformerDecoderLayer:
+class TransformerDecoderLayer(TransformerEncoderLayer):
     """Cross-attention block: y = x + attn(norm(x), memory); out = y + mlp(norm(y))."""
-
-    def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="dec"):
-        self.attn = MultiHeadAttention(cfg, rng, dtype, prefix=f"{prefix}.attn")
-        self.mlp = Mlp(cfg, rng, dtype, prefix=f"{prefix}.mlp")
-        self.norm1 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm1")
-        self.norm2 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm2")
 
     def __call__(self, x, memory, key_mask=None):
         y = x + self.attn(self.norm1(x), memory, key_mask)
         return y + self.mlp(self.norm2(y))
-
-    def parameters(self):
-        return self.attn.parameters() + self.mlp.parameters() \
-            + self.norm1.parameters() + self.norm2.parameters()
-
-    def zero_output_projections(self):
-        self.attn.zero_output_projection()
-        self.mlp.zero_output_projection()
 
 
 class PositionalConv2d:

@@ -39,6 +39,22 @@ class TestForwardExamples:
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         assert "(2, 3)" in str(exc.value)
 
+    def test_matmul_batches_leading_axes(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        bb = rng.standard_normal((2, 4, 5))
+        np.testing.assert_array_equal(ad.matmul(Tensor(a), Tensor(b)).data, a @ b)
+        np.testing.assert_array_equal(ad.matmul(Tensor(a), Tensor(bb)).data, a @ bb)
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 5, 6)), ((2, 3, 4), (3, 4, 5)),
+                                        ((4,), (4, 5)), ((3, 4), (4,))])
+    def test_matmul_bad_shapes_rejected(self, shapes):
+        a, b = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ContractError) as exc:
+            ad.matmul(a, b)
+        assert str(shapes[0]) in str(exc.value) and str(shapes[1]) in str(exc.value)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -58,6 +74,17 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 4 * np.ones(3))
         x.zero_grad()
         assert x.grad is None
+
+    def test_repeated_backward_adds_one_gradient_per_call(self):
+        """Interior nodes pass their gradient on once: a second backward on
+        the same tape doubles the leaf gradient, no more."""
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        loss = ((x * 2) * 1).sum()
+        loss.backward()
+        single = x.grad.copy()
+        np.testing.assert_array_equal(single, [2.0, 2.0, 2.0])
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 2 * single)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -55,6 +55,20 @@ class TestUsage:
     def test_unknown_flag_exit_2(self):
         assert dispatch(["generate", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--cube", "c", "--groups", "5", "--out", "o"],
+        ["predict", "--ckpt", "c", "--set", "s", "--out", "o"],
+        ["vote", "--mode", "soft", "--in", "i", "--out", "o"],
+        ["eval", "--pred", "p", "--truth", "t", "--report", "r"],
+        ["areas", "--image", "i", "--out", "o"],
+    ])
+    def test_seed_flag_only_where_a_seed_is_used(self, argv):
+        from hsiseg.cli import build_parser
+
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--seed", "0"])
+
     def test_unknown_subcommand_exit_2(self):
         assert dispatch(["explode"]) == 2
 
@@ -77,8 +91,13 @@ class TestConfigFile:
     def test_defaults_and_overrides(self):
         cfg = parse_config("dcm.Z = 64\n# comment\n")
         assert cfg.get_int("dcm.Z") == 64
-        assert cfg.get_int("trispec.G") == 15
+        assert cfg.get_int("dcm.T") == 5
         assert cfg.get_bool("dcm.use_GAC") is True
+
+    @pytest.mark.parametrize("key", ["trispec.G", "trispec.wavelength_descending"])
+    def test_keys_no_code_reads_are_rejected(self, key):
+        with pytest.raises(ConfigError):
+            parse_config(f"{key} = 15")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):

@@ -58,6 +58,29 @@ class TestGrid:
         assert mask[0, 0].sum() == 4  # corner pixel
         assert mask[0, 4].sum() == 6  # edge pixel
 
+    def test_window_matches_nested_loop_reference(self):
+        """The vectorized window equals the 3x3 cell neighborhood built by
+        looping over cells and offsets, on every grid of a size sweep."""
+        checked = 0
+        for h, w in ((4, 4), (5, 7), (9, 9), (8, 16), (13, 6), (16, 16), (3, 20)):
+            for z in (4, 6, 8, 9, 12, 16, 20, 30):
+                try:
+                    layout = make_grid(h, w, z)
+                except ConfigError:
+                    continue
+                rows, cols = layout.n_rows, layout.n_cols
+                ref = np.zeros((z, z), dtype=bool)
+                for r in range(rows):
+                    for c in range(cols):
+                        for dr in (-1, 0, 1):
+                            for dc in (-1, 0, 1):
+                                if 0 <= r + dr < rows and 0 <= c + dc < cols:
+                                    ref[r * cols + c, (r + dr) * cols + c + dc] = True
+                assert layout.window_mask.shape == (h * w, z)
+                np.testing.assert_array_equal(layout.window_mask, ref[layout.cell_index])
+                checked += 1
+        assert checked >= 30
+
     def test_rejects_bad_area_counts(self):
         with pytest.raises(ConfigError):
             make_grid(4, 4, 3)

@@ -168,6 +168,21 @@ class TestLoss:
         with pytest.raises(ContractError):
             model.loss(main, aux, np.zeros((4, 4), np.uint16))
 
+    def test_label_id_above_classes_rejected(self):
+        model = tiny_model(classes=3)
+        main, aux = self._logit_pair(3, 4, 4)
+        labels = np.zeros((4, 4), np.uint16)
+        labels[0, 0] = 2
+        labels[2, 1] = 5
+        with pytest.raises(ContractError) as exc:
+            model.loss(main, aux, labels)
+        assert "label id 5" in str(exc.value) and "3 classes" in str(exc.value)
+        img = np.random.default_rng(10).integers(0, 256, (3, 16, 16)).astype(np.uint8)
+        big = np.zeros((16, 16), np.uint16)
+        big[7, 9] = 5
+        with pytest.raises(ContractError):
+            model.loss_on(img, big)
+
     def test_single_pixel_descent(self):
         """One SGD step on one labeled pixel strictly decreases its loss."""
         model = tiny_model(seed=9)

@@ -16,17 +16,19 @@ from hsiseg.nn import (
     TransformerDecoderLayer,
     TransformerEncoderLayer,
     attention_head,
+    uniform_init,
 )
 
 
 def mha_oracle(x1, x2, block):
     """Row-by-row re-evaluation of multi-head attention with plain floats."""
     heads = []
+    d = block.cfg.head_dim
     for i in range(block.cfg.heads):
-        q = x1 @ block.wq[i].data + block.bq[i].data
-        k = x2 @ block.wk[i].data + block.bk[i].data
-        v = x2 @ block.wv[i].data + block.bv[i].data
-        d = q.shape[1]
+        cols = slice(i * d, (i + 1) * d)  # head i's columns of each projection
+        q = x1 @ block.wq.data[:, cols] + block.bq.data[cols]
+        k = x2 @ block.wk.data[:, cols] + block.bk.data[cols]
+        v = x2 @ block.wv.data[:, cols] + block.bv.data[cols]
         out = np.zeros_like(q)
         for r in range(q.shape[0]):
             scores = [float(q[r] @ k[s]) / math.sqrt(d) for s in range(k.shape[0])]
@@ -37,6 +39,29 @@ def mha_oracle(x1, x2, block):
                 out[r] += (weights[s] / total) * v[s]
         heads.append(out)
     return np.concatenate(heads, axis=1) @ block.wo.data + block.bo.data
+
+
+def per_head_composition(x_q, x_kv, block, key_mask=None):
+    """Multi-head attention as separate per-head projections on column slices,
+    joined by concat; returns (output, per-head q/k/v weight and bias leaves)."""
+    d = block.cfg.head_dim
+    leaves = {name: [] for name in ("wq", "wk", "wv", "bq", "bk", "bv")}
+
+    def leaf(name, cols):
+        data = getattr(block, name).data
+        t = Tensor(data[:, cols] if data.ndim == 2 else data[cols], requires_grad=True)
+        leaves[name].append(t)
+        return t
+
+    heads = []
+    for i in range(block.cfg.heads):
+        cols = slice(i * d, (i + 1) * d)
+        q = ad.matmul(x_q, leaf("wq", cols)) + leaf("bq", cols)
+        k = ad.matmul(x_kv, leaf("wk", cols)) + leaf("bk", cols)
+        v = ad.matmul(x_kv, leaf("wv", cols)) + leaf("bv", cols)
+        heads.append(attention_head(q, k, v, key_mask))
+    joined = ad.concat(heads, axis=1)
+    return ad.matmul(joined, block.wo) + block.bo, leaves
 
 
 class TestAttentionHead:
@@ -89,6 +114,18 @@ class TestAttentionHead:
         assert np.all(masked.data[:, ~mask] == 0)
         np.testing.assert_allclose(masked.data.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_leading_axes_batch_independent_heads(self):
+        """A (h, N, d) call equals h separate 2-D calls, mask included."""
+        rng = np.random.default_rng(30)
+        q = rng.standard_normal((3, 4, 2))
+        k = rng.standard_normal((3, 5, 2))
+        v = rng.standard_normal((3, 5, 2))
+        mask = np.array([True, True, False, True, False])
+        batched = attention_head(Tensor(q), Tensor(k), Tensor(v), key_mask=mask).data
+        for i in range(3):
+            single = attention_head(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]), key_mask=mask).data
+            np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-15)
+
 
 class TestMultiHeadAttention:
     def test_head_dim_must_divide(self):
@@ -105,9 +142,9 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(5)
         block = MultiHeadAttention(AttentionConfig(4, 1), rng, np.float64)
         x = Tensor(rng.standard_normal((5, 4)))
-        q = ad.matmul(x, block.wq[0]) + block.bq[0]
-        k = ad.matmul(x, block.wk[0]) + block.bk[0]
-        v = ad.matmul(x, block.wv[0]) + block.bv[0]
+        q = ad.matmul(x, Tensor(block.wq.data[:, 0:4])) + Tensor(block.bq.data[0:4])
+        k = ad.matmul(x, Tensor(block.wk.data[:, 0:4])) + Tensor(block.bk.data[0:4])
+        v = ad.matmul(x, Tensor(block.wv.data[:, 0:4])) + Tensor(block.bv.data[0:4])
         manual = ad.matmul(attention_head(q, k, v), block.wo) + block.bo
         np.testing.assert_allclose(block(x, x).data, manual.data)
 
@@ -145,6 +182,65 @@ class TestMultiHeadAttention:
         x2 = rng.standard_normal((5, 8))
         out = block(Tensor(x1), Tensor(x2)).data
         np.testing.assert_allclose(out, mha_oracle(x1, x2, block), atol=1e-12)
+
+    def test_eight_parameter_tensors_for_any_head_count(self):
+        rng = np.random.default_rng(15)
+        for heads in (1, 2, 4, 8):
+            block = MultiHeadAttention(AttentionConfig(8, heads), rng, np.float64)
+            assert [p.shape for p in block.parameters()] == [(8, 8)] * 3 + [(8,)] * 3 \
+                + [(8, 8), (8,)]
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradients_match_per_head_composition(self, heads):
+        """Float64: the batched pass and a per-head loop over column slices
+        agree on the output and on every gradient to 1e-12."""
+        rng = np.random.default_rng(16 + heads)
+        block = MultiHeadAttention(AttentionConfig(8, heads), rng, np.float64)
+        for p in block.parameters():
+            p.data = p.data + 0.1 * rng.standard_normal(p.shape)  # nonzero biases
+        xq, xkv = rng.standard_normal((3, 8)), rng.standard_normal((5, 8))
+        mask = np.array([True, False, True, True, False])
+        w = Tensor(rng.standard_normal((3, 8)))
+
+        x1, x2 = Tensor(xq, requires_grad=True), Tensor(xkv, requires_grad=True)
+        out = block(x1, x2, key_mask=mask)
+        (out * w).sum().backward()
+        fused = {p.name.split(".")[-1]: p.grad for p in block.parameters()}
+        for p in block.parameters():
+            p.grad = None
+
+        r1, r2 = Tensor(xq, requires_grad=True), Tensor(xkv, requires_grad=True)
+        ref, leaves = per_head_composition(r1, r2, block, key_mask=mask)
+        (ref * w).sum().backward()
+
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x1.grad, r1.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x2.grad, r2.grad, rtol=0, atol=1e-12)
+        for name, parts in leaves.items():
+            joined = np.concatenate([t.grad for t in parts], axis=-1)
+            np.testing.assert_allclose(fused[name], joined, rtol=0, atol=1e-12, err_msg=name)
+        for name in ("wo", "bo"):
+            np.testing.assert_allclose(fused[name], getattr(block, name).grad,
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_matches_per_head_draws(self, dtype):
+        """The fused weights hold exactly the values that drawing (c, d)
+        matrices head by head, q then k then v, and then wo gives from the
+        same seed, so seeded nets start where per-head nets did."""
+        c, heads = 8, 4
+        d = c // heads
+        block = MultiHeadAttention(AttentionConfig(c, heads), np.random.default_rng(21), dtype)
+        rng = np.random.default_rng(21)
+        for i in range(heads):
+            cols = slice(i * d, (i + 1) * d)
+            for name in ("wq", "wk", "wv"):
+                drawn = uniform_init(rng, (c, d), c, dtype)
+                np.testing.assert_array_equal(getattr(block, name).data[:, cols], drawn)
+        np.testing.assert_array_equal(block.wo.data, uniform_init(rng, (c, c), c, dtype))
+        for name in ("bq", "bk", "bv", "bo"):
+            assert getattr(block, name).dtype == dtype
+            assert not getattr(block, name).data.any()
 
 
 class TestEncoderLayer:
