@@ -425,10 +425,14 @@ def matmul(a, b):
 
 # -- softmax family --------------------------------------------------------------------
 
+_MASKED_LOGIT = -1e30  # finite, so a fully masked row stays uniform rather than NaN
 
-def softmax(a, axis=-1):
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
+
+def softmax(a, axis=-1, mask=None):
+    """Softmax along ``axis``; entries where the broadcast ``mask`` is False get weight 0."""
+    x = a.data if mask is None else np.where(mask, a.data, _MASKED_LOGIT)
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
     out = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
@@ -659,10 +663,8 @@ def sample_bilinear(x, ys, xs, factor):
 
     def bw(g):
         taps = ((y0, x0, wy0 * wx0), (y0, x1, wy0 * wx1), (y1, x0, wy1 * wx0), (y1, x1, wy1 * wx1))
-        channel = np.arange(c)
-        index = np.concatenate([((yi * w + xi) * c)[:, None] + channel for yi, xi, _ in taps])
-        weight = np.concatenate([wt * g for _, _, wt in taps])
-        dx = np.bincount(index.ravel(), weight.ravel(), minlength=h * w * c)
+        pixel = np.concatenate([yi * w + xi for yi, xi, _ in taps])
+        dx = _sum_rows(pixel, np.concatenate([wt * g for _, _, wt in taps]), h * w)
         _accumulate(x, dx.reshape(h, w, c).transpose(2, 0, 1).astype(x.dtype, copy=False))
 
     return Tensor._from_op(out, (x,), "sample_bilinear", bw)
@@ -671,15 +673,24 @@ def sample_bilinear(x, ys, xs, factor):
 # -- indexed gathers and scatters -------------------------------------------------------------
 
 
+def _sum_rows(rows, values, num_rows):
+    """(num_rows, C) float64 sums of the (P, C) ``values`` by target row, via one bincount."""
+    cols = values.shape[1]
+    flat = (rows[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=num_rows * cols).reshape(num_rows, cols)
+
+
 def gather_rows(x, idx):
-    """Select rows of a (N, C) tensor; duplicate indices are allowed."""
+    """Select rows of a (N, ...) tensor by an index array of any shape.
+
+    The result has shape ``idx.shape + x.shape[1:]``; duplicate indices are allowed."""
     idx = np.asarray(idx, dtype=np.intp)
     out = x.data[idx]
+    row_size = math.prod(x.shape[1:])
 
     def bw(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
-        _accumulate(x, dx)
+        dx = _sum_rows(idx.ravel(), g.reshape(idx.size, row_size), x.shape[0])
+        _accumulate(x, dx.reshape(x.shape).astype(x.dtype, copy=False))
 
     return Tensor._from_op(out, (x,), "gather_rows", bw)
 
@@ -690,9 +701,7 @@ def scatter_mean(x, index, num_groups):
     if index.shape[0] != x.shape[0]:
         raise ContractError(f"scatter_mean: {index.shape[0]} indices for {x.shape[0]} rows")
     counts = np.maximum(np.bincount(index, minlength=num_groups), 1).astype(x.dtype)
-    sums = np.zeros((num_groups, x.shape[1]), dtype=x.data.dtype)
-    np.add.at(sums, index, x.data)
-    out = sums / counts[:, None]
+    out = _sum_rows(index, x.data, num_groups).astype(x.dtype, copy=False) / counts[:, None]
 
     def bw(g):
         _accumulate(x, g[index] / counts[index][:, None])

@@ -32,10 +32,6 @@ class GridLayout:
     cell_index: np.ndarray  # (N,) initial cell of each pixel, row-major
     window_mask: np.ndarray  # (N, Z) bool, pixel's candidate clusters
 
-    @property
-    def cell_side(self):
-        return math.sqrt(self.height * self.width / self.num_areas)
-
 
 def _divisors(z):
     out = []
@@ -157,9 +153,8 @@ def run_clustering(features, num_areas, iterations) -> AreaAssignment:
     """T affinity/center rounds followed by one hard assignment."""
     if iterations < 1:
         raise ContractError(f"need at least one iteration, got {iterations}")
-    tokens, _, h, w = _to_tokens(features)
-    layout = make_grid(h, w, num_areas)
-    centers = ad.scatter_mean(tokens, layout.cell_index, num_areas)
+    tokens = _to_tokens(features)[0]
+    layout, centers = init_centers(features, num_areas)
     affinity = None
     used_fallback = False
     for _ in range(iterations):

@@ -1,11 +1,11 @@
 """Dual context capture over homogeneous areas.
 
-Pipeline: cluster the feature map into areas, run one shared transformer
-encoder over each area's pixel tokens (regional context), average each area
-into a descriptor, relate descriptors with a second encoder (global
-context), and broadcast the result back to every pixel through a
-cross-attention decoder. The module output concatenates the raw feature map
-with the final context stream.
+Pipeline: cluster the feature map into areas, run one transformer encoder
+pass over all pixel tokens with attention confined to each area (regional
+context), average each area into a descriptor, relate descriptors with a
+second encoder (global context), and broadcast the result back to every
+pixel through a cross-attention decoder. The module output concatenates the
+raw feature map with the final context stream.
 """
 
 from __future__ import annotations
@@ -86,23 +86,8 @@ class DualContextModule:
     # -- stages ----------------------------------------------------------------
 
     def encode_regions(self, tokens, pos_tokens, areas: AreaAssignment):
-        """Run the shared encoder over each area's tokens and restitch the map."""
-        n = tokens.shape[0]
-        order = np.argsort(areas.labels, kind="stable")
-        pieces = []
-        start = 0
-        for count in areas.counts:
-            if count == 0:
-                continue
-            idx = order[start:start + count]
-            start += count
-            piece = self.region_encoder(
-                ad.gather_rows(tokens, idx), pos=ad.gather_rows(pos_tokens, idx))
-            pieces.append(piece)
-        stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[order] = np.arange(n)
-        return ad.gather_rows(stacked, inverse)
+        """Encode every token with attention confined to its own area, in one pass."""
+        return self.region_encoder(tokens, pos=pos_tokens, groups=areas.labels)
 
     def build_descriptors(self, tokens, areas: AreaAssignment):
         """Per-area token means; empty areas yield zero rows plus a validity mask."""

@@ -67,6 +67,9 @@ def primitive_programs(rng):
     yield "log", (lambda x: (ad.log(x) * w34).sum()), Tensor(rng.uniform(0.5, 2.0, (3, 4)))
 
     yield "softmax", (lambda x: (ad.softmax(x, axis=-1) * w34).sum()), Tensor(x34.copy())
+    mask4 = np.array([True, False, True, True])
+    yield "softmax_masked", (lambda x: (ad.softmax(x, axis=-1, mask=mask4) * w34).sum()), \
+        Tensor(x34.copy())
     yield "log_softmax", (lambda x: (ad.log_softmax(x, axis=-1) * w34).sum()), Tensor(x34.copy())
 
     gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
@@ -114,6 +117,13 @@ def primitive_programs(rng):
     wg = _coeff(rng, (5, 3))
     yield "gather_rows", (lambda x: (ad.gather_rows(x, idx) * wg).sum()), \
         Tensor(rng.standard_normal((5, 3)))
+
+    # own generator, so the draws of every other program stay as they were
+    grid = np.random.default_rng(20261018)
+    idx_grid = grid.integers(0, 4, (2, 3))
+    wgg = Tensor(grid.standard_normal((2, 3, 2, 3)))
+    yield "gather_rows_grid", (lambda x: (ad.gather_rows(x, idx_grid) * wgg).sum()), \
+        Tensor(grid.standard_normal((4, 2, 3)))
 
     groups = np.array([0, 1, 0, 2, 1, 0])
     ws = _coeff(rng, (4, 3))

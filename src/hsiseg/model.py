@@ -143,9 +143,6 @@ class DualContextNet:
         for p in self.parameters():
             p.grad = None
 
-    def zero_context_projections(self):
-        self.context.zero_output_projections()
-
     # -- forward passes -----------------------------------------------------------
 
     def prepare_input(self, image):

@@ -3,7 +3,9 @@
 Tokens are rows: a feature sequence is an (N, C) tensor. Attention follows
 the scaled-dot-product form with softmax over the key axis, so every query's
 weights sum to 1. Encoder and decoder layers are pre-norm residual blocks;
-the decoder carries no self-attention and no positional term.
+the decoder carries no self-attention and no positional term. Self-attention
+can be confined to groups of tokens: every per-token step runs once over all
+N tokens, and only the scores are batched group by group.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import ConfigError, ContractError
 
-_MASKED_LOGIT = -1e30
+# live groups of a grouped attention are split by size into this many
+# batches, each padded to its own longest group
+GROUP_BUCKETS = 4
 
 
 @dataclass
@@ -47,26 +51,48 @@ def attention_head(q, k, v, key_mask=None, return_weights=False):
     """Attention over the last two axes: q (..., Nq, d), k/v (..., Nk, d) -> (..., Nq, d).
 
     Leading axes are a batch (the heads, in ``MultiHeadAttention``). The
-    softmax runs over the key axis, so each query row's weights sum to 1.
+    softmax runs over the key axis, so each query row's weights sum to 1;
+    ``key_mask`` (broadcast against the scores) gives masked keys weight 0.
     """
     d = q.shape[-1]
     k_t = ad.transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    logits = ad.matmul(q, k_t) * (1.0 / math.sqrt(d))
-    if key_mask is not None:
-        bias = np.where(np.asarray(key_mask, dtype=bool), 0.0, _MASKED_LOGIT)
-        logits = logits + Tensor(bias.astype(logits.dtype))
-    weights = ad.softmax(logits, axis=-1)
+    # q is scaled, not the scores: one q-sized node instead of a score-sized one
+    logits = ad.matmul(q * (1.0 / math.sqrt(d)), k_t)
+    mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)
+    weights = ad.softmax(logits, axis=-1, mask=mask)
     out = ad.matmul(weights, v)
     return (out, weights) if return_weights else out
+
+
+def group_buckets(groups):
+    """Token slots of every live group, batched by group size.
+
+    The live groups are sorted by size and split into at most
+    ``GROUP_BUCKETS`` batches of near-equal group count. Each batch is a pair
+    (tokens, mask) of (Zb, Lb) arrays: row z holds the token indices of one
+    group, padded to the batch's longest group Lb with some valid token
+    index, and ``mask`` marks the real slots.
+    """
+    order = np.argsort(groups, kind="stable")
+    _, starts, sizes = np.unique(groups[order], return_index=True, return_counts=True)
+    by_size = np.argsort(sizes, kind="stable")
+    buckets = []
+    for members in np.array_split(by_size, min(GROUP_BUCKETS, by_size.size)):
+        slot = np.arange(sizes[members].max())
+        mask = slot < sizes[members][:, None]
+        buckets.append((order[np.where(mask, starts[members][:, None] + slot, 0)], mask))
+    return buckets
 
 
 class MultiHeadAttention:
     """h parallel heads, channel-concatenated and projected back to C.
 
     Queries come from the first input; keys and values from the second.
-    Self-attention is the special case of passing the same tensor twice.
-    Each projection is one (C, C) matrix; head i owns its columns
-    i*d:(i+1)*d, and all heads attend in one batched pass.
+    Self-attention is the special case of passing the same tensor twice;
+    only then may ``groups`` (one label per token) confine every token's
+    attention to the tokens of its own group. Each projection is one (C, C)
+    matrix; head i owns its columns i*d:(i+1)*d, and all heads attend in
+    one batched pass (one per size bucket of groups).
     """
 
     def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="attn"):
@@ -86,15 +112,47 @@ class MultiHeadAttention:
         shape = (x.shape[0], self.cfg.heads, self.cfg.head_dim)
         return ad.transpose(ad.reshape(ad.matmul(x, w) + b, shape), (1, 0, 2))
 
-    def __call__(self, x_q, x_kv, key_mask=None):
+    def __call__(self, x_q, x_kv, key_mask=None, groups=None):
         c = self.cfg.channels
         if x_q.shape[1] != c or x_kv.shape[1] != c:
             raise ContractError(f"attention expects {c} channels, got {x_q.shape} and {x_kv.shape}")
-        heads = attention_head(self._split_heads(x_q, self.wq, self.bq),
-                               self._split_heads(x_kv, self.wk, self.bk),
-                               self._split_heads(x_kv, self.wv, self.bv), key_mask)
-        joined = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x_q.shape[0], c))
+        if groups is None:
+            heads = attention_head(self._split_heads(x_q, self.wq, self.bq),
+                                   self._split_heads(x_kv, self.wk, self.bk),
+                                   self._split_heads(x_kv, self.wv, self.bv), key_mask)
+            joined = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x_q.shape[0], c))
+        else:
+            if x_kv is not x_q or key_mask is not None:
+                raise ContractError("groups apply to self-attention without a key mask")
+            joined = self._grouped_heads(x_q, np.asarray(groups))
         return ad.matmul(joined, self.wo) + self.bo
+
+    def _grouped_heads(self, x, groups):
+        """(N, C) tokens -> (N, C) joined heads, each token attending within its group.
+
+        q/k/v are projected once and laid out as (h*N, d) rows, so one gather
+        per bucket yields (Zb, h, Lb, d) directly; the padded keys are masked
+        and the padded queries are never read back.
+        """
+        n, h, d = x.shape[0], self.cfg.heads, self.cfg.head_dim
+        if groups.shape != (n,):
+            raise ContractError(f"attention groups {groups.shape} for {n} tokens")
+        rows = [ad.reshape(self._split_heads(x, w, b), (h * n, d))
+                for w, b in ((self.wq, self.bq), (self.wk, self.bk), (self.wv, self.bv))]
+        head_rows = np.arange(h)[:, None] * n  # (h, 1): first row of each head
+        slot = np.empty((n, h), dtype=np.intp)  # where each token's heads land
+        pieces, filled = [], 0
+        for tokens, mask in group_buckets(groups):
+            zb, lb = tokens.shape
+            index = tokens[:, None, :] + head_rows  # (Zb, h, Lb)
+            out = attention_head(*(ad.gather_rows(r, index) for r in rows),
+                                 key_mask=mask[:, None, None, :])
+            pieces.append(ad.reshape(out, (zb * h * lb, d)))
+            z, pos = np.nonzero(mask)
+            slot[tokens[z, pos]] = filled + (z[:, None] * h + np.arange(h)) * lb + pos[:, None]
+            filled += zb * h * lb
+        joined = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
+        return ad.reshape(ad.gather_rows(joined, slot), (n, h * d))
 
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.bq, self.bk, self.bv, self.wo, self.bo]
@@ -141,7 +199,11 @@ class _Norm:
 
 
 class TransformerEncoderLayer:
-    """Pre-norm residual pair: y = (x+p) + attn(norm(x+p)); out = y + mlp(norm(y))."""
+    """Pre-norm residual pair: y = (x+p) + attn(norm(x+p)); out = y + mlp(norm(y)).
+
+    With ``groups`` the attention stays within each token's group, so one
+    call encodes every group as if it ran alone.
+    """
 
     def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="layer"):
         self.attn = MultiHeadAttention(cfg, rng, dtype, prefix=f"{prefix}.attn")
@@ -149,10 +211,10 @@ class TransformerEncoderLayer:
         self.norm1 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm1")
         self.norm2 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm2")
 
-    def __call__(self, x, pos=None, key_mask=None):
+    def __call__(self, x, pos=None, key_mask=None, groups=None):
         base = x + pos if pos is not None else x
         normed = self.norm1(base)
-        y = base + self.attn(normed, normed, key_mask)
+        y = base + self.attn(normed, normed, key_mask, groups)
         return y + self.mlp(self.norm2(y))
 
     def parameters(self):

@@ -168,4 +168,6 @@ def load_set(in_dir) -> TriSpectralSet:
             manifest.append(BandTriplet(g1, g2, g3))
     if not images:
         raise FormatError(f"empty manifest under {in_dir}")
-    return TriSpectralSet(images, manifest, [False] * len(images))
+    # a stretched image is all zeros exactly when its histogram was flat: any
+    # other image maps its 98th percentile to 255
+    return TriSpectralSet(images, manifest, [not img.any() for img in images])

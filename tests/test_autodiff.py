@@ -197,6 +197,66 @@ class TestSampleBilinear:
             ad.sample_bilinear(x, [0, 1], [0], 4)
 
 
+class TestMaskedSoftmax:
+    def test_equals_softmax_over_live_entries(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 5)) * 4
+        mask = np.array([[True, False, True, True, False], [False] * 4 + [True]])[:, None, :]
+        out = ad.softmax(Tensor(x), axis=-1, mask=mask).data
+        assert np.all(out[~np.broadcast_to(mask, out.shape)] == 0.0)
+        for b in range(2):
+            live = mask[b, 0]
+            e = np.exp(x[b][:, live] - x[b][:, live].max(axis=-1, keepdims=True))
+            np.testing.assert_allclose(out[b][:, live], e / e.sum(axis=-1, keepdims=True),
+                                       rtol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_bias_add_formulation(self, dtype):
+        """Same values and gradient as adding a -1e30 bias to the masked logits."""
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((4, 6)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 6)).astype(dtype))
+        mask = np.array([True, True, False, True, False, True])
+        masked = ad.softmax(x, axis=-1, mask=mask)
+        (masked * w).sum().backward()
+        grad, x.grad = x.grad, None
+        biased = ad.softmax(x + Tensor(np.where(mask, 0.0, -1e30).astype(dtype)), axis=-1)
+        (biased * w).sum().backward()
+        assert masked.dtype == grad.dtype == dtype
+        np.testing.assert_array_equal(masked.data, biased.data)
+        np.testing.assert_array_equal(grad, x.grad)
+
+
+class TestGatherScatter:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gather_with_index_grid(self, dtype):
+        """A (2, 3, 4) index over (5, 2, 3) rows gives (2, 3, 4, 2, 3); the
+        gradient sums duplicates as np.add.at does."""
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((5, 2, 3)).astype(dtype), requires_grad=True)
+        idx = rng.integers(0, 5, (2, 3, 4))
+        g = rng.standard_normal((2, 3, 4, 2, 3)).astype(dtype)
+        out = ad.gather_rows(x, idx)
+        np.testing.assert_array_equal(out.data, x.data[idx])
+        (out * Tensor(g)).sum().backward()
+        ref = np.zeros((5, 2, 3))
+        np.add.at(ref, idx, g.astype(np.float64))
+        assert x.grad.dtype == dtype
+        np.testing.assert_allclose(x.grad, ref, rtol=1e-6 if dtype == np.float32 else 1e-13)
+
+    def test_scatter_mean_against_add_at(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((40, 3))
+        index = rng.integers(0, 7, 40)
+        index[index == 5] = 6  # group 5 empty
+        sums = np.zeros((7, 3))
+        np.add.at(sums, index, x)
+        counts = np.maximum(np.bincount(index, minlength=7), 1)
+        out = ad.scatter_mean(Tensor(x), index, 7).data
+        np.testing.assert_allclose(out, sums / counts[:, None], rtol=1e-13)
+        np.testing.assert_array_equal(out[5], 0.0)
+
+
 class TestDtype:
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(13)

@@ -124,6 +124,65 @@ class TestRegionalEncoding:
         assert np.all(np.isfinite(out.data))
 
 
+def per_area_loop(block, tokens, pos, areas):
+    """The encoder run once per live area, restitched into token order."""
+    n = tokens.shape[0]
+    order = np.argsort(areas.labels, kind="stable")
+    pieces, start = [], 0
+    for count in areas.counts:
+        if count == 0:
+            continue
+        idx = order[start:start + count]
+        start += count
+        pieces.append(block.region_encoder(ad.gather_rows(tokens, idx),
+                                           pos=ad.gather_rows(pos, idx)))
+    stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.arange(n)
+    return ad.gather_rows(stacked, inverse)
+
+
+def _skewed(rng, n, z):
+    labels = rng.integers(0, z, n)
+    labels[rng.random(n) < 0.7] = 3  # 70 % in one area
+    return labels
+
+
+class TestAreaBatchedEquivalence:
+    """Float64: one grouped encoder pass equals the per-area loop on the
+    output, both input gradients and every encoder parameter gradient."""
+
+    @pytest.mark.parametrize("make_labels", [
+        lambda rng, n, z: rng.integers(0, z, n),  # random sizes, more areas than buckets
+        _skewed,
+        lambda rng, n, z: np.full(n, 5),  # a single live area
+        lambda rng, n, z: np.where(np.arange(n) < 3, np.arange(n) * 4,
+                                   10 + np.arange(n) % 3),  # singletons and empties
+    ], ids=["random", "skewed", "single_live", "singletons_and_empty"])
+    def test_matches_per_area_loop(self, make_labels):
+        rng = np.random.default_rng(40)
+        h, w, z, c = 6, 8, 16, 8
+        block = _block(rng, channels=c, areas=z, heads=2)
+        for p in block.region_encoder.parameters():
+            p.data = p.data + 0.1 * rng.standard_normal(p.shape)  # nonzero biases
+        labels = make_labels(rng, h * w, z)
+        areas = _manual_assignment(labels, z, h, w)
+        tokens, pos = rng.standard_normal((h * w, c)), rng.standard_normal((h * w, c))
+        weight = Tensor(rng.standard_normal((h * w, c)))
+
+        results = []
+        for encode in (block.encode_regions, lambda t, p, a: per_area_loop(block, t, p, a)):
+            for p in block.parameters():
+                p.grad = None
+            t, p = Tensor(tokens, requires_grad=True), Tensor(pos, requires_grad=True)
+            out = encode(t, p, areas)
+            (out * weight).sum().backward()
+            results.append([out.data, t.grad, p.grad]
+                           + [q.grad for q in block.region_encoder.parameters()])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestDescriptors:
     def test_uniform_area_value(self):
         rng = np.random.default_rng(11)

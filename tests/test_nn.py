@@ -9,6 +9,7 @@ import hsiseg.autodiff as ad
 from hsiseg.autodiff import Tensor, grad_check
 from hsiseg.errors import ConfigError, ContractError
 from hsiseg.nn import (
+    GROUP_BUCKETS,
     AttentionConfig,
     MultiHeadAttention,
     PositionalConv1d,
@@ -16,6 +17,7 @@ from hsiseg.nn import (
     TransformerDecoderLayer,
     TransformerEncoderLayer,
     attention_head,
+    group_buckets,
     uniform_init,
 )
 
@@ -241,6 +243,71 @@ class TestMultiHeadAttention:
         for name in ("bq", "bk", "bv", "bo"):
             assert getattr(block, name).dtype == dtype
             assert not getattr(block, name).data.any()
+
+
+class TestGroupedAttention:
+    @pytest.mark.parametrize("labels", [
+        [3, 0, 3, 3, 1, 0, 3, 7, 3, 1, 3, 5, 5, 3, 6, 3, 2, 3, 4, 3],  # skewed, 8 live
+        [2] * 9,  # one live group
+        [4, 0, 0, 1, 1, 1],  # fewer live groups than buckets
+    ])
+    def test_buckets_cover_each_token_once(self, labels):
+        labels = np.array(labels)
+        buckets = group_buckets(labels)
+        live = np.unique(labels).size
+        assert len(buckets) == min(GROUP_BUCKETS, live)
+        seen, sizes = [], []
+        for tokens, mask in buckets:
+            assert tokens.shape == mask.shape and mask[:, 0].all()
+            assert mask.sum(axis=1).max() == tokens.shape[1]  # padded to its own longest
+            for row, live_slots in zip(tokens, mask):
+                group = row[live_slots]
+                assert np.unique(labels[group]).size == 1
+                seen.extend(group)
+                sizes.append(group.size)
+        assert sorted(seen) == list(range(labels.size))
+        assert sizes == sorted(sizes)  # buckets hold ascending size ranges
+
+    def test_one_group_equals_plain_self_attention(self):
+        rng = np.random.default_rng(30)
+        block = MultiHeadAttention(AttentionConfig(8, 2), rng, np.float64)
+        x = Tensor(rng.standard_normal((7, 8)))
+        np.testing.assert_allclose(block(x, x, groups=np.zeros(7, int)).data,
+                                   block(x, x).data, rtol=0, atol=1e-13)
+
+    def test_each_group_attends_alone(self):
+        rng = np.random.default_rng(31)
+        block = MultiHeadAttention(AttentionConfig(8, 4), rng, np.float64)
+        x = rng.standard_normal((12, 8))
+        labels = np.array([1, 0, 1, 2, 2, 1, 0, 1, 5, 1, 2, 1])
+        t = Tensor(x)
+        out = block(t, t, groups=labels).data
+        for g in np.unique(labels):
+            rows = np.nonzero(labels == g)[0]
+            alone = Tensor(x[rows])
+            np.testing.assert_allclose(out[rows], block(alone, alone).data, rtol=0, atol=1e-13)
+
+    def test_groups_need_self_attention(self):
+        rng = np.random.default_rng(32)
+        block = MultiHeadAttention(AttentionConfig(4, 2), rng, np.float64)
+        x, y = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((5, 4)))
+        labels = np.zeros(5, int)
+        with pytest.raises(ContractError):
+            block(x, y, groups=labels)
+        with pytest.raises(ContractError):
+            block(x, x, key_mask=np.ones(5, bool), groups=labels)
+        with pytest.raises(ContractError):
+            block(x, x, groups=np.zeros(4, int))
+
+    def test_grouped_layer_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(33)
+        layer = TransformerEncoderLayer(AttentionConfig(4, 2), rng, np.float64)
+        pos = Tensor(rng.standard_normal((9, 4)))
+        w = Tensor(rng.standard_normal((9, 4)))
+        labels = np.array([0, 2, 2, 0, 2, 3, 2, 3, 6])
+        err = grad_check(lambda x: (layer(x, pos=pos, groups=labels) * w).sum(),
+                         Tensor(rng.standard_normal((9, 4))))
+        assert err < 1e-4
 
 
 class TestEncoderLayer:

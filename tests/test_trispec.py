@@ -224,6 +224,15 @@ class TestGenerateSet:
         for a, b in zip(loaded.images, ts.images):
             np.testing.assert_array_equal(a, b)
 
+    def test_round_trip_keeps_degenerate_flags(self, tmp_path):
+        """Bands 0-8 constant: groups 1-3 are flat, so only triplet (3, 2, 1) is degenerate."""
+        values = np.random.default_rng(5).random((12, 6, 6)).astype(np.float32)
+        values[:9] = 0.5
+        out = tmp_path / "set"
+        ts = generate_set(HsiCube(values), 4, out_dir=out)
+        assert ts.degenerate == [False, False, False, True]
+        assert load_set(out).degenerate == ts.degenerate
+
     def test_full_grouping_on_270_bands(self):
         """The headline configuration: 270 bands, 15 groups, 455 images."""
         rng = np.random.default_rng(4)
