@@ -310,15 +310,6 @@ def exp(a):
     return Tensor._from_op(out, (a,), "exp", bw)
 
 
-def log(a):
-    out = np.log(a.data)
-
-    def bw(g):
-        _accumulate(a, g / a.data)
-
-    return Tensor._from_op(out, (a,), "log", bw)
-
-
 # -- shape manipulation -----------------------------------------------------------
 
 
@@ -478,106 +469,87 @@ def layernorm(x, gamma, beta, axis=-1, eps=1e-5):
 # -- convolutions ------------------------------------------------------------------------
 
 
-def _windows(xp, kh, kw, stride):
-    """Sliding windows of a padded (C, Hp, Wp) array -> (C, kh, kw, OH, OW) view."""
-    c, hp, wp = xp.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, oh, ow), (sc, sh, sw, stride * sh, stride * sw), writeable=False
-    )
+def _pad_same(op, x, kernel_shape):
+    """Zero-pad a (C, H, W) array by k // 2 per side, so that a stride-1
+    correlation with the odd kernel keeps the input's size."""
+    kh, kw = kernel_shape[-2:]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ContractError(f"{op}: kernel {kh}x{kw} has no centre tap; sizes must be odd")
+    c, h, width = x.shape
+    # zeros plus one slice copy: np.pad's per-call overhead dominates on small maps
+    xp = np.zeros((c, h + kh - 1, width + kw - 1), x.dtype)
+    xp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + width] = x
+    return xp
 
 
-def conv2d(x, w, b=None, stride=1, pad=0):
-    """2-D convolution of one image: x (Cin, H, W), w (Cout, Cin, kh, kw)."""
+def _im2col(xp, kh, kw):
+    """(C, kh*kw, H*W) stride-1 windows of a (C, H + kh - 1, W + kw - 1) padded array."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0], kh * kw, -1)
+
+
+def _correlate(x, w):
+    """Stride-1 "same" correlation of (Cin, H, W) with (Cout, Cin, kh, kw) as one GEMM.
+
+    Returns the (Cout, H, W) output and the (Cin*kh*kw, H*W) im2col matrix."""
+    cout, cin, kh, kw = w.shape
+    _, h, width = x.shape
+    col = _im2col(_pad_same("conv2d", x, w.shape), kh, kw).reshape(cin * kh * kw, h * width)
+    return (w.reshape(cout, -1) @ col).reshape(cout, h, width), col
+
+
+def conv2d(x, w, b=None):
+    """Stride-1 "same" convolution of one image: x (Cin, H, W), w (Cout, Cin, kh, kw), odd kh, kw."""
     if x.ndim != 3 or w.ndim != 4 or x.shape[0] != w.shape[1]:
         raise ContractError(f"conv2d: input {x.shape} does not match weight {w.shape}")
-    cin, h, width = x.shape
-    cout, _, kh, kw = w.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    win = _windows(xp, kh, kw, stride)
-    oh, ow = win.shape[3], win.shape[4]
-    col = win.reshape(cin * kh * kw, oh * ow)
-    out = (w.data.reshape(cout, -1) @ col).reshape(cout, oh, ow)
+    out, col = _correlate(x.data, w.data)
     if b is not None:
         out = out + b.data[:, None, None]
 
     def bw(g):
-        gm = g.reshape(cout, -1)
-        _accumulate(w, (gm @ col.T).reshape(w.data.shape))
+        _accumulate(w, (g.reshape(w.shape[0], -1) @ col.T).reshape(w.shape))
         if b is not None:
             _accumulate(b, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            dcol = (w.data.reshape(cout, -1).T @ gm).reshape(cin, kh, kw, oh, ow)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcol[:, i, j]
-            _accumulate(x, dxp[:, pad:pad + h, pad:pad + width])
+            # at stride 1, dx correlates g with the flipped, in/out-transposed kernel
+            _accumulate(x, _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0])
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._from_op(out, parents, "conv2d", bw)
 
 
-def depthwise_conv2d(x, w, b=None, pad=1):
-    """Per-channel 2-D convolution, stride 1: x (C, H, W), w (C, kh, kw)."""
+def _depthwise_correlate(x, w):
+    """Per-channel stride-1 "same" correlation of (C, H, W) with (C, kh, kw).
+
+    One shifted multiply-add per tap; returns the output and the padded input."""
+    _, h, width = x.shape
+    _, kh, kw = w.shape
+    xp = _pad_same("depthwise_conv2d", x, w.shape)
+    out = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            out += w[:, i, j, None, None] * xp[:, i:i + h, j:j + width]
+    return out, xp
+
+
+def depthwise_conv2d(x, w, b=None):
+    """Per-channel stride-1 "same" convolution: x (C, H, W), w (C, kh, kw), odd kh, kw."""
     if x.ndim != 3 or w.ndim != 3 or x.shape[0] != w.shape[0]:
         raise ContractError(f"depthwise_conv2d: input {x.shape} vs weight {w.shape}")
-    c, h, width = x.shape
-    _, kh, kw = w.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    win = _windows(xp, kh, kw, 1)
-    oh, ow = win.shape[3], win.shape[4]
-    out = np.einsum("ckl,cklmn->cmn", w.data, win)
+    out, xp = _depthwise_correlate(x.data, w.data)
     if b is not None:
         out = out + b.data[:, None, None]
 
     def bw(g):
-        _accumulate(w, np.einsum("cmn,cklmn->ckl", g, win))
+        c, kh, kw = w.shape
+        _accumulate(w, (_im2col(xp, kh, kw) @ g.reshape(c, -1, 1)).reshape(w.shape))
         if b is not None:
             _accumulate(b, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + oh, j:j + ow] += w.data[:, i, j][:, None, None] * g
-            _accumulate(x, dxp[:, pad:pad + h, pad:pad + width])
+            _accumulate(x, _depthwise_correlate(g, w.data[:, ::-1, ::-1])[0])
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._from_op(out, parents, "depthwise_conv2d", bw)
-
-
-def depthwise_conv1d(x, w, b=None, pad=1):
-    """Per-channel 1-D convolution along the token axis: x (N, C), w (C, k)."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ContractError(f"depthwise_conv1d: input {x.shape} vs weight {w.shape}")
-    n, c = x.shape
-    k = w.shape[1]
-    if k != 2 * pad + 1:
-        raise ContractError(f"depthwise_conv1d: kernel {k} needs pad {(k - 1) // 2}")
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    out = np.zeros_like(x.data)
-    for t in range(k):
-        out += w.data[:, t][None, :] * xp[t:t + n]
-    if b is not None:
-        out = out + b.data[None, :]
-
-    def bw(g):
-        dw = np.empty_like(w.data)
-        for t in range(k):
-            dw[:, t] = (g * xp[t:t + n]).sum(axis=0)
-        _accumulate(w, dw)
-        if b is not None:
-            _accumulate(b, g.sum(axis=0))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for t in range(k):
-                dxp[t:t + n] += w.data[:, t][None, :] * g
-            _accumulate(x, dxp[pad:pad + n])
-
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._from_op(out, parents, "depthwise_conv1d", bw)
 
 
 def maxpool2d(x, size=2):

@@ -292,6 +292,8 @@ def read_ppm(path):
         w, h, maxval = int(wtok), int(htok), int(mtok)
     except (StopIteration, ValueError):
         raise FormatError("malformed pixmap header")
+    if w < 1 or h < 1:
+        raise FormatError(f"pixmap size {w}x{h} is not positive")
     if maxval != 255:
         raise FormatError(f"unsupported pixmap maxval {maxval}")
     payload = blob[end + 1:]

@@ -53,7 +53,7 @@ class Conv3x3:
         self.bias = Parameter(np.zeros(out_ch, dtype), group=group, name=f"{name}.bias")
 
     def __call__(self, x):
-        return ad.conv2d(x, self.weight, self.bias, stride=1, pad=1)
+        return ad.conv2d(x, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]

@@ -242,21 +242,26 @@ class PositionalConv2d:
         self.bias = Parameter(np.zeros(channels, dtype), name=f"{prefix}.bias")
 
     def __call__(self, x):
-        return ad.depthwise_conv2d(x, self.weight, self.bias, pad=1)
+        return ad.depthwise_conv2d(x, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]
 
 
 class PositionalConv1d:
-    """Depthwise 1-D convolution along a (N, C) token sequence, kernel 3, padding 1."""
+    """Depthwise 1-D convolution along a (N, C) token sequence, kernel 3, padding 1.
+
+    Runs as a depthwise 1x3 convolution of the tokens viewed as a (C, 1, N) map."""
 
     def __init__(self, channels, rng, dtype=np.float32, prefix="pos1d"):
         self.weight = Parameter(uniform_init(rng, (channels, 3), 3, dtype), name=f"{prefix}.weight")
         self.bias = Parameter(np.zeros(channels, dtype), name=f"{prefix}.bias")
 
     def __call__(self, x):
-        return ad.depthwise_conv1d(x, self.weight, self.bias, pad=1)
+        n, c = x.shape
+        seq = ad.reshape(ad.transpose(x), (c, 1, n))
+        out = ad.depthwise_conv2d(seq, ad.reshape(self.weight, (-1, 1, 3)), self.bias)
+        return ad.transpose(ad.reshape(out, (c, n)))
 
     def parameters(self):
         return [self.weight, self.bias]

@@ -31,7 +31,7 @@ class TestForwardExamples:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 4, 4))
         w = np.full((1, 1, 1, 1), 2.0)
-        out = ad.conv2d(Tensor(x), Tensor(w), stride=1, pad=0)
+        out = ad.conv2d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.data, 2.0 * x)
 
     def test_shape_mismatch_reports_both_shapes(self):
@@ -97,7 +97,7 @@ class TestBackward:
         target = Tensor(np.eye(2)[rng.integers(0, 2, 9)].reshape(-1))
 
         def f(x):
-            h = ad.relu(ad.conv2d(x, w, stride=1, pad=1))
+            h = ad.relu(ad.conv2d(x, w))
             tokens = ad.transpose(ad.reshape(h, (2, 9)))
             lp = ad.log_softmax(tokens, axis=-1)
             return -(lp.reshape((-1,)) * target).sum() * (1 / 9)
@@ -157,9 +157,85 @@ class TestInvariants:
         w = rng.standard_normal((4, 3, 3, 3))
 
         def run():
-            return ad.conv2d(Tensor(x), Tensor(w), stride=1, pad=1).data.tobytes()
+            return ad.conv2d(Tensor(x), Tensor(w)).data.tobytes()
 
         assert run() == run()
+
+
+def _direct_same_correlation(x, w, b, g, depthwise=False):
+    """Direct-sum stride-1 "same" correlation with zero padding k // 2.
+
+    Returns the output and, for the cotangent ``g``, the x, w and b gradients."""
+    cin, h, width = x.shape
+    kh, kw = w.shape[-2:]
+    cout = w.shape[0]
+    out = np.zeros((cout, h, width))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for y in range(h):
+        for xo in range(width):
+            for i in range(kh):
+                for j in range(kw):
+                    ys, xs = y + i - kh // 2, xo + j - kw // 2
+                    if not (0 <= ys < h and 0 <= xs < width):
+                        continue
+                    if depthwise:
+                        out[:, y, xo] += w[:, i, j] * x[:, ys, xs]
+                        dx[:, ys, xs] += w[:, i, j] * g[:, y, xo]
+                        dw[:, i, j] += g[:, y, xo] * x[:, ys, xs]
+                    else:
+                        out[:, y, xo] += w[:, :, i, j] @ x[:, ys, xs]
+                        dx[:, ys, xs] += w[:, :, i, j].T @ g[:, y, xo]
+                        dw[:, :, i, j] += np.outer(g[:, y, xo], x[:, ys, xs])
+    return out + b[:, None, None], dx, dw, g.sum(axis=(1, 2))
+
+
+def _check_against_direct_sum(op, x_shape, w_shape, depthwise, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
+    out = op(x, w, b)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    ref = _direct_same_correlation(x.data, w.data, b.data, g, depthwise)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestSameConvolutions:
+    """Stride-1 "same" convolutions against direct sums, in float64."""
+
+    @pytest.mark.parametrize("cin,cout,k,h,w", [
+        (3, 5, 3, 4, 6),   # Cout > Cin
+        (5, 2, 3, 5, 4),   # Cout < Cin
+        (2, 4, 1, 3, 5),   # 1x1, Cout > Cin
+        (4, 3, 1, 5, 2),   # 1x1, Cout < Cin
+        (3, 2, 3, 6, 1),   # 1-pixel-wide map
+        (2, 3, 3, 1, 5),   # 1-pixel-tall map
+        (2, 2, 3, 1, 1),   # single pixel
+    ])
+    def test_conv2d(self, cin, cout, k, h, w):
+        _check_against_direct_sum(ad.conv2d, (cin, h, w), (cout, cin, k, k), False, 40 + cin)
+
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((3, 5, 6), (3, 3, 3)),
+        ((2, 1, 4), (2, 3, 3)),
+        ((4, 1, 7), (4, 1, 3)),   # a (C, 1, N) token sequence, kernel 1x3
+        ((4, 1, 1), (4, 1, 3)),   # the same with N = 1
+    ])
+    def test_depthwise_conv2d(self, x_shape, w_shape):
+        _check_against_direct_sum(ad.depthwise_conv2d, x_shape, w_shape, True, 50 + x_shape[2])
+
+    @pytest.mark.parametrize("op,x_shape,w_shape", [
+        (ad.conv2d, (2, 4, 4), (3, 2, 2, 2)),
+        (ad.conv2d, (2, 4, 4), (3, 2, 3, 2)),
+        (ad.depthwise_conv2d, (2, 4, 4), (2, 2, 2)),
+        (ad.depthwise_conv2d, (2, 1, 4), (2, 1, 4)),
+    ])
+    def test_even_kernel_rejected(self, op, x_shape, w_shape):
+        with pytest.raises(ContractError, match="odd"):
+            op(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)))
 
 
 class TestSampleBilinear:
@@ -357,12 +433,12 @@ class TestGradCheckHarness:
         from hsiseg.errors import GradCheckError
 
         def f(x):
-            return ad.log(x).sum()
+            return (1.0 / x).sum()
 
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore"):
             with pytest.raises(GradCheckError) as exc:
-                grad_check(f, Tensor(np.array([-1.0, 1.0])))
-        assert "log" in str(exc.value)
+                grad_check(f, Tensor(np.array([0.0, 1.0])))
+        assert "div" in str(exc.value)
 
 
 class TestPrimitiveGradients:

@@ -221,6 +221,15 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header,payload", [(b"P6\n0 5\n255\n", b""),
+                                                (b"P6\n4 0\n255\n", b""),
+                                                (b"P6\n-1 -1\n255\n", bytes(3))])
+    def test_non_positive_size_rejected(self, tmp_path, header, payload):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header + payload)
+        with pytest.raises(FormatError, match="not positive"):
+            read_ppm(path)
+
     def test_header_comments_accepted(self, tmp_path):
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P6\n# made by hand\n2 1\n255\n" + bytes(6))

@@ -306,7 +306,36 @@ class TestFullScale:
             model.predict_probabilities(img)
 
 
+def _desk_parameter_layout():
+    """(name, shape) of every desk-net parameter, in checkpoint order."""
+    def conv(name, *shape):
+        return [(f"{name}.weight", shape), (f"{name}.bias", shape[:1])]
+
+    def layer(prefix):
+        attn = [(f"{prefix}.attn.{n}", (32, 32)) for n in ("wq", "wk", "wv")] \
+            + [(f"{prefix}.attn.{n}", (32,)) for n in ("bq", "bk", "bv")] \
+            + [(f"{prefix}.attn.wo", (32, 32)), (f"{prefix}.attn.bo", (32,))]
+        mlp = [(f"{prefix}.mlp.w1", (32, 64)), (f"{prefix}.mlp.b1", (64,)),
+               (f"{prefix}.mlp.w2", (64, 32)), (f"{prefix}.mlp.b2", (32,))]
+        norms = [(f"{prefix}.norm{i}.{n}", (32,)) for i in (1, 2) for n in ("gamma", "beta")]
+        return attn + mlp + norms
+
+    rows = conv("backbone.stage1.conv0", 16, 3, 3, 3) + conv("backbone.stage2.conv0", 32, 16, 3, 3) \
+        + conv("backbone.stage3.conv0", 64, 32, 3, 3) + conv("backbone.stage3.conv1", 64, 64, 3, 3) \
+        + conv("backbone.stage4.conv0", 64, 64, 3, 3) + conv("backbone.stage4.conv1", 64, 64, 3, 3) \
+        + conv("reduce", 32, 64, 3, 3)
+    rows += conv("context.pos_map", 32, 3, 3) + layer("context.region")
+    rows += conv("context.pos_seq", 32, 3) + layer("context.summary") + layer("context.decode")
+    return rows + conv("head", 9, 64, 3, 3) + conv("aux_head", 9, 64, 3, 3)
+
+
 class TestPersistence:
+    def test_desk_parameter_names_and_shapes(self):
+        """Checkpoint layout of the criterion-8 net; the positional convs keep
+        their (C, 3, 3) and (C, 3) weights."""
+        got = [(name, p.shape) for name, p in desk_model(np.float32).named_parameters()]
+        assert got == _desk_parameter_layout()
+
     def test_save_load_round_trip(self, tmp_path):
         model = tiny_model(seed=10, dtype=np.float32)
         rng = np.random.default_rng(10)

@@ -398,6 +398,31 @@ class TestPositionalEncodings:
         v = Tensor(rng.standard_normal((5, 4)))
         np.testing.assert_allclose(pos(v).data, v.data)
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_1d_matches_token_formula(self, n):
+        """out[n] = b + sum_t w[:, t] * x[n + t - 1], zero outside the
+        sequence; gradients of x, w and b follow from the same sum."""
+        rng = np.random.default_rng(30 + n)
+        pos = PositionalConv1d(3, rng, np.float64)
+        pos.bias.data[:] = rng.standard_normal(3)
+        x = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        out = pos(x)
+        g = rng.standard_normal((n, 3))
+        (out * Tensor(g)).sum().backward()
+
+        w = pos.weight.data
+        xp = np.concatenate([np.zeros((1, 3)), x.data, np.zeros((1, 3))])
+        want = pos.bias.data + sum(w[:, t] * xp[t:t + n] for t in range(3))
+        dxp = np.zeros_like(xp)
+        for t in range(3):
+            dxp[t:t + n] += w[:, t] * g
+        dw = np.stack([(g * xp[t:t + n]).sum(axis=0) for t in range(3)], axis=1)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, dxp[1:-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pos.weight.grad, dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pos.bias.grad, g.sum(axis=0), rtol=0, atol=1e-12)
+        assert pos.weight.shape == (3, 3)
+
     def test_single_token_sequence(self):
         rng = np.random.default_rng(19)
         pos = PositionalConv1d(3, rng, np.float64)
