@@ -159,18 +159,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis, keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -352,18 +342,6 @@ def concat(tensors, axis=0):
     return Tensor._from_op(out, tuple(tensors), "concat", bw)
 
 
-def crop2d(a, height, width):
-    """Keep the top-left ``height`` x ``width`` window of a (C, H, W) tensor."""
-    out = a.data[:, :height, :width]
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[:, :height, :width] = g
-        _accumulate(a, full)
-
-    return Tensor._from_op(out.copy(), (a,), "crop2d", bw)
-
-
 # -- reductions ---------------------------------------------------------------------
 
 
@@ -377,19 +355,6 @@ def tensor_sum(a, axis=None, keepdims=False):
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return Tensor._from_op(out, (a,), "sum", bw)
-
-
-def tensor_mean(a, axis=None, keepdims=False):
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    denom = a.data.size if axis is None else a.data.shape[axis]
-
-    def bw(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape) / denom)
-
-    return Tensor._from_op(out, (a,), "mean", bw)
 
 
 # -- linear algebra -------------------------------------------------------------------
@@ -711,10 +676,6 @@ class SGD:
             group = getattr(p, "group", "head")
             rate = lr * (self.head_lr_multiplier if group == "head" else 1.0)
             p.data -= rate * v
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
 
 
 def poly_lr(initial, iteration, max_iter, power=0.9):

@@ -58,8 +58,6 @@ def primitive_programs(rng):
     yield "reshape", (lambda x: (ad.reshape(x, (2, 6)) * wr).sum()), Tensor(x34.copy())
     wcat = _coeff(rng, (6, 4))
     yield "concat", (lambda x: (ad.concat([x, c34], axis=0) * wcat).sum()), Tensor(x34.copy())
-    wcrop = _coeff(rng, (2, 3, 2))
-    yield "crop2d", (lambda x: (ad.crop2d(x, 3, 2) * wcrop).sum()), Tensor(rng.standard_normal((2, 4, 4)))
 
     yield "relu", (lambda x: (ad.relu(x) * w34).sum()), Tensor(_kink_free(rng, (3, 4)))
     yield "tanh", (lambda x: (ad.tanh(x) * w34).sum()), Tensor(x34.copy())
@@ -124,8 +122,6 @@ def primitive_programs(rng):
 
     wsum = _coeff(rng, (4,))
     yield "sum_axis", (lambda x: (x.sum(axis=0) * wsum).sum()), Tensor(x34.copy())
-    wmean = _coeff(rng, (3,))
-    yield "mean_axis", (lambda x: (x.mean(axis=1) * wmean).sum()), Tensor(x34.copy())
 
 
 def encoder_program(rng):

@@ -169,17 +169,6 @@ class DualContextNet:
         enriched, areas = self.context(features)
         return self.head(enriched), self.aux_head(stage3), areas
 
-    def forward(self, image):
-        """uint8 image -> (main logits, aux logits), each (num_classes, H, W)."""
-        x, (h, w) = self.prepare_input(image)
-        main, aux, _ = self.forward_from_tensor(x)
-        main = ad.bilinear_upsample(main, 4)
-        aux = ad.bilinear_upsample(aux, 4)
-        if main.shape[1:] != (h, w):
-            main = ad.crop2d(main, h, w)
-            aux = ad.crop2d(aux, h, w)
-        return main, aux
-
     def features(self, image):
         """The reduced stride-4 feature map the context module clusters on."""
         x, _ = self.prepare_input(image)
@@ -223,10 +212,15 @@ class DualContextNet:
         return self.loss(main, aux, labels)
 
     def predict_probabilities(self, image):
-        """Softmax of the main logits as a float32 (num_classes, H, W) array."""
+        """Softmax of the main logits as a float32 (num_classes, H, W) array.
+
+        The stride-4 main logits are upsampled x4 and cropped to the image;
+        the auxiliary logits are a training-only loss term and are dropped."""
         with ad.no_grad():
-            main, _ = self.forward(image)
-            probs = ad.softmax(main, axis=0)
+            x, (h, w) = self.prepare_input(image)
+            main, _, _ = self.forward_from_tensor(x)
+            dense = ad.bilinear_upsample(main, 4).data[:, :h, :w]
+            probs = ad.softmax(Tensor(dense), axis=0)
         return probs.data.astype(np.float32)
 
     # -- persistence -------------------------------------------------------------------

@@ -32,6 +32,10 @@ class AttentionConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        if self.channels < 1 or self.heads < 1 or self.mlp_ratio < 1:
+            raise ConfigError(
+                f"attention needs channels, heads and mlp_ratio >= 1, got "
+                f"{self.channels}, {self.heads} and {self.mlp_ratio}")
         if self.channels % self.heads != 0:
             raise ConfigError(f"{self.heads} heads do not divide {self.channels} channels")
         if self.activation not in ("relu", "tanh"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .formats import (
     ClassMap,
     LabelMap,
@@ -34,6 +34,11 @@ class TrainConfig:
     head_lr_multiplier: float = 10.0
     seed: int = 0
     val_fraction: float = 0.05
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch < 1:
+            raise ConfigError(
+                f"training needs epochs >= 1 and batch >= 1, got {self.epochs} and {self.batch}")
 
 
 @dataclass
@@ -88,6 +93,8 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
     if cfg.val_fraction > 0 and m > 1:
         n_val = min(m - 1, max(1, round(cfg.val_fraction * m)))
     holdout = sorted(int(i) for i in indices[:n_val])
+    held_out = TriSpectralSet([tri_set.images[i] for i in holdout],
+                              [tri_set.manifest[i] for i in holdout])
     train_idx = np.array(sorted(int(i) for i in indices[n_val:]))
 
     per_epoch = math.ceil(len(train_idx) / cfg.batch)
@@ -118,12 +125,8 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
             train_rows.append((iteration, lr, total.item()))
             iteration += 1
         if holdout:
-            probs = [predict_image(model, tri_set.images[i]) for i in holdout]
-            hard = hard_vote([classify(p) for p in probs])
-            soft = soft_vote(probs)
-            val_rows.append((epoch,
-                             evaluate(hard, labels).oa,
-                             evaluate(soft, labels).oa))
+            report = run_inference_set(model, held_out, truth=labels)[3]
+            val_rows.append((epoch, report["hard"]["oa"], report["soft"]["oa"]))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

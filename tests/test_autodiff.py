@@ -62,11 +62,6 @@ class TestBackward:
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
-    def test_mean_gradient(self):
-        x = Tensor(np.arange(6, dtype=np.float64), requires_grad=True)
-        x.mean().backward()
-        np.testing.assert_allclose(x.grad, np.full(6, 1 / 6))
-
     def test_accumulation_until_zero_grad(self):
         x = Tensor(np.ones(3), requires_grad=True)
         (x * x).sum().backward()

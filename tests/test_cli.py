@@ -156,6 +156,17 @@ class TestTrainPredictVoteEval:
         assert 0.0 <= data["oa"] <= 1.0
         assert data["n_labeled"] == 256
 
+    @pytest.mark.parametrize("override", [
+        "train.epochs = 0", "train.batch = 0", "dcm.heads = 0", "dcm.mlp_ratio = 0", "dcm.C = 0",
+    ])
+    def test_out_of_range_config_fails_cleanly(self, scene, tmp_path, capsys, override):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + override + "\n")
+        assert dispatch(["train", "--set", str(scene / "set"),
+                         "--labels", str(scene / "train.lbl"),
+                         "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_sidecar_fails_cleanly(self, scene, tmp_path):
         ghost = tmp_path / "ghost.ckpt"
         ghost.write_bytes(b"CKPT" + b"\x00" * 4)

@@ -59,22 +59,18 @@ class TestForward:
         model = tiny_model()
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, (3, 16, 16)).astype(np.uint8)
-        main, aux = model.forward(img)
-        assert main.shape == (3, 16, 16)
-        assert aux.shape == (3, 16, 16)
+        assert model.predict_probabilities(img).shape == (3, 16, 16)
 
     def test_non_multiple_of_four_padded_and_cropped(self):
         model = tiny_model()
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, (3, 10, 14)).astype(np.uint8)
-        main, aux = model.forward(img)
-        assert main.shape == (3, 10, 14)
-        assert aux.shape == (3, 10, 14)
+        assert model.predict_probabilities(img).shape == (3, 10, 14)
 
     def test_too_small_rejected(self):
         model = tiny_model()
         with pytest.raises(ContractError):
-            model.forward(np.zeros((3, 4, 4), np.uint8))
+            model.predict_probabilities(np.zeros((3, 4, 4), np.uint8))
 
     def test_probabilities_normalized(self):
         model = tiny_model()
@@ -84,6 +80,17 @@ class TestForward:
         assert probs.shape == (3, 16, 16)
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-5)
         assert probs.min() >= 0
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (10, 14)])
+    def test_probabilities_match_upsampled_main_logits(self, h, w):
+        """Softmax of the x4-upsampled main logits, cropped to the image."""
+        model = tiny_model()
+        img = np.random.default_rng(h * w).integers(0, 256, (3, h, w)).astype(np.uint8)
+        x, _ = model.prepare_input(img)
+        main = ad.bilinear_upsample(model.forward_from_tensor(x)[0], 4).data[:, :h, :w]
+        e = np.exp(main - main.max(axis=0))
+        expected = (e / e.sum(axis=0)).astype(np.float32)
+        assert model.predict_probabilities(img).tobytes() == expected.tobytes()
 
     def test_forward_deterministic(self):
         model = tiny_model()
@@ -215,22 +222,21 @@ def random_labels(rng, h, w, count, classes):
 
 class TestStrideFourLoss:
     """Training samples the stride-4 logits at labeled pixels; this must equal
-    upsampling them x4, cropping, and taking cross entropy at those pixels."""
+    upsampling them x4 and taking cross entropy at those pixels."""
 
     @staticmethod
     def reference_loss(model, image, labels):
-        x, (h, w) = model.prepare_input(image)
+        x, _ = model.prepare_input(image)
         main, aux, _ = model.forward_from_tensor(x)
-        flat = labels.reshape(-1).astype(np.int64)
-        labeled = np.nonzero(flat)[0]
-        onehot = np.zeros((labeled.size, model.num_classes))
-        onehot[np.arange(labeled.size), flat[labeled] - 1] = 1.0
+        ys, xs = np.nonzero(labels)
+        onehot = np.zeros((ys.size, model.num_classes))
+        onehot[np.arange(ys.size), labels[ys, xs].astype(np.int64) - 1] = 1.0
 
         def ce(logits):
-            full = ad.crop2d(ad.bilinear_upsample(logits, 4), h, w)
+            full = ad.bilinear_upsample(logits, 4)  # padded size; labeled pixels lie inside
             tokens = ad.transpose(ad.reshape(full, (model.num_classes, -1)))
-            picked = ad.gather_rows(tokens, labeled)
-            return (ad.log_softmax(picked, axis=-1) * Tensor(onehot)).sum() * (-1.0 / labeled.size)
+            picked = ad.gather_rows(tokens, ys * full.shape[2] + xs)
+            return (ad.log_softmax(picked, axis=-1) * Tensor(onehot)).sum() * (-1.0 / ys.size)
 
         return ce(main) + 0.4 * ce(aux)
 

@@ -207,6 +207,16 @@ class TestTrain:
         for _, oa_hard, oa_soft in result.val_rows:
             assert 0 <= oa_hard <= 1 and 0 <= oa_soft <= 1
 
+    def test_validation_rows_are_run_inference_set_votes(self):
+        tri, labels = _tiny_set(), _sparse_labels()
+        model = _tiny_model()
+        cfg = TrainConfig(epochs=2, batch=2, seed=0, val_fraction=0.5)
+        result = train(tri, labels, model, cfg)
+        held_out = TriSpectralSet([tri.images[i] for i in result.holdout],
+                                  [tri.manifest[i] for i in result.holdout])
+        report = run_inference_set(model, held_out, truth=labels)[3]
+        assert result.val_rows[-1] == (1, report["hard"]["oa"], report["soft"]["oa"])
+
     def test_seeded_determinism(self):
         cfg = TrainConfig(epochs=2, batch=2, seed=7, val_fraction=0.0)
         r1 = train(_tiny_set(), _sparse_labels(), _tiny_model(seed=7), cfg)

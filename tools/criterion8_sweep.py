@@ -26,7 +26,7 @@ import numpy as np
 
 from hsiseg import autodiff as ad
 from hsiseg.model import BackboneConfig, DualContextNet
-from hsiseg.pipeline import TrainConfig, classify, evaluate, predict_image, soft_vote, train
+from hsiseg.pipeline import TrainConfig, run_inference_set, train
 from hsiseg.synth import synth_scene
 from hsiseg.trispec import generate_set
 
@@ -47,9 +47,9 @@ def run_seed(seed):
     per_epoch = math.ceil(tri.capacity / cfg.batch)
     last_loss = float(np.mean([loss for _, _, loss in result.train_rows[-per_epoch:]]))
 
-    probs = [predict_image(model, img) for img in tri.images]
-    singles = [evaluate(classify(p), labels).oa for p in probs]
-    voted = evaluate(soft_vote(probs), labels).oa
+    report = run_inference_set(model, tri, truth=labels)[3]
+    singles = report["single"]
+    voted = report["soft"]["oa"]
     with ad.no_grad():
         areas = [model.context(model.features(img))[1] for img in tri.images]
     empty = max(int(np.count_nonzero(a.counts == 0)) for a in areas)
