@@ -432,49 +432,62 @@ def layernorm(x, gamma, beta, axis=-1, eps=1e-5):
 
 
 # -- convolutions ------------------------------------------------------------------------
+#
+# Every image op takes a (B, C, H, W) batch; B = 1 is one image.
 
 
 def _pad_same(op, x, kernel_shape):
-    """Zero-pad a (C, H, W) array by k // 2 per side, so that a stride-1
+    """Zero-pad a (B, C, H, W) array by k // 2 per side, so that a stride-1
     correlation with the odd kernel keeps the input's size."""
     kh, kw = kernel_shape[-2:]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ContractError(f"{op}: kernel {kh}x{kw} has no centre tap; sizes must be odd")
-    c, h, width = x.shape
+    nb, c, h, width = x.shape
     # zeros plus one slice copy: np.pad's per-call overhead dominates on small maps
-    xp = np.zeros((c, h + kh - 1, width + kw - 1), x.dtype)
-    xp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + width] = x
+    xp = np.zeros((nb, c, h + kh - 1, width + kw - 1), x.dtype)
+    xp[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + width] = x
     return xp
 
 
 def _im2col(xp, kh, kw):
-    """(C, kh*kw, H*W) stride-1 windows of a (C, H + kh - 1, W + kw - 1) padded array."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0], kh * kw, -1)
+    """(C, kh*kw, B*H*W) stride-1 windows of a (B, C, H + kh - 1, W + kw - 1) padded array."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(xp.shape[1], kh * kw, -1)
+
+
+def _channels_first(a):
+    """(B, C, H, W) -> (C, B*H*W), the column order of ``_im2col``."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
 def _correlate(x, w):
-    """Stride-1 "same" correlation of (Cin, H, W) with (Cout, Cin, kh, kw) as one GEMM.
+    """Stride-1 "same" correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) as one GEMM.
 
-    Returns the (Cout, H, W) output and the (Cin*kh*kw, H*W) im2col matrix."""
+    Returns the (B, Cout, H, W) output and the (Cin*kh*kw, B*H*W) im2col matrix."""
     cout, cin, kh, kw = w.shape
-    _, h, width = x.shape
-    col = _im2col(_pad_same("conv2d", x, w.shape), kh, kw).reshape(cin * kh * kw, h * width)
-    return (w.reshape(cout, -1) @ col).reshape(cout, h, width), col
+    nb, _, h, width = x.shape
+    col = _im2col(_pad_same("conv2d", x, w.shape), kh, kw).reshape(cin * kh * kw, -1)
+    out = (w.reshape(cout, -1) @ col).reshape(cout, nb, h, width)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), col
+
+
+def _check_images(op, x):
+    if x.ndim != 4:
+        raise ContractError(f"{op}: expected a (B, C, H, W) input, got {x.shape}")
 
 
 def conv2d(x, w, b=None):
-    """Stride-1 "same" convolution of one image: x (Cin, H, W), w (Cout, Cin, kh, kw), odd kh, kw."""
-    if x.ndim != 3 or w.ndim != 4 or x.shape[0] != w.shape[1]:
+    """Stride-1 "same" convolution: x (B, Cin, H, W), w (Cout, Cin, kh, kw), odd kh, kw."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ContractError(f"conv2d: input {x.shape} does not match weight {w.shape}")
     out, col = _correlate(x.data, w.data)
     if b is not None:
         out = out + b.data[:, None, None]
 
     def bw(g):
-        _accumulate(w, (g.reshape(w.shape[0], -1) @ col.T).reshape(w.shape))
+        _accumulate(w, (_channels_first(g) @ col.T).reshape(w.shape))
         if b is not None:
-            _accumulate(b, g.sum(axis=(1, 2)))
+            _accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             # at stride 1, dx correlates g with the flipped, in/out-transposed kernel
             _accumulate(x, _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0])
@@ -484,22 +497,22 @@ def conv2d(x, w, b=None):
 
 
 def _depthwise_correlate(x, w):
-    """Per-channel stride-1 "same" correlation of (C, H, W) with (C, kh, kw).
+    """Per-channel stride-1 "same" correlation of (B, C, H, W) with (C, kh, kw).
 
     One shifted multiply-add per tap; returns the output and the padded input."""
-    _, h, width = x.shape
+    h, width = x.shape[2:]
     _, kh, kw = w.shape
     xp = _pad_same("depthwise_conv2d", x, w.shape)
     out = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
-            out += w[:, i, j, None, None] * xp[:, i:i + h, j:j + width]
+            out += w[:, i, j, None, None] * xp[:, :, i:i + h, j:j + width]
     return out, xp
 
 
 def depthwise_conv2d(x, w, b=None):
-    """Per-channel stride-1 "same" convolution: x (C, H, W), w (C, kh, kw), odd kh, kw."""
-    if x.ndim != 3 or w.ndim != 3 or x.shape[0] != w.shape[0]:
+    """Per-channel stride-1 "same" convolution: x (B, C, H, W), w (C, kh, kw), odd kh, kw."""
+    if x.ndim != 4 or w.ndim != 3 or x.shape[1] != w.shape[0]:
         raise ContractError(f"depthwise_conv2d: input {x.shape} vs weight {w.shape}")
     out, xp = _depthwise_correlate(x.data, w.data)
     if b is not None:
@@ -507,9 +520,10 @@ def depthwise_conv2d(x, w, b=None):
 
     def bw(g):
         c, kh, kw = w.shape
-        _accumulate(w, (_im2col(xp, kh, kw) @ g.reshape(c, -1, 1)).reshape(w.shape))
+        dw = _im2col(xp, kh, kw) @ _channels_first(g)[:, :, None]
+        _accumulate(w, dw.reshape(w.shape))
         if b is not None:
-            _accumulate(b, g.sum(axis=(1, 2)))
+            _accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             _accumulate(x, _depthwise_correlate(g, w.data[:, ::-1, ::-1])[0])
 
@@ -518,19 +532,22 @@ def depthwise_conv2d(x, w, b=None):
 
 
 def maxpool2d(x, size=2):
-    """Non-overlapping max pooling; ties route the gradient to the first maximum."""
-    c, h, w = x.shape
+    """Non-overlapping max pooling of (B, C, H, W); ties route the gradient to the first maximum."""
+    _check_images("maxpool2d", x)
+    nb, c, h, w = x.shape
     if h % size or w % size:
         raise ContractError(f"maxpool2d: {x.shape} not divisible by {size}")
     oh, ow = h // size, w // size
-    win = x.data.reshape(c, oh, size, ow, size).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, size * size)
+    win = x.data.reshape(nb, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5) \
+        .reshape(nb, c, oh, ow, size * size)
     arg = win.argmax(axis=-1)
     out = np.take_along_axis(win, arg[..., None], -1)[..., 0]
 
     def bw(g):
         dwin = np.zeros_like(win)
         np.put_along_axis(dwin, arg[..., None], g[..., None], -1)
-        dx = dwin.reshape(c, oh, ow, size, size).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        dx = dwin.reshape(nb, c, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5) \
+            .reshape(nb, c, h, w)
         _accumulate(x, dx)
 
     return Tensor._from_op(out, (x,), "maxpool2d", bw)
@@ -556,35 +573,36 @@ def _check_factor(name, factor):
 
 
 def bilinear_upsample(x, factor):
-    """Upsample (C, H, W) by an integer factor; sample centers at (i+0.5)/f - 0.5."""
+    """Upsample (B, C, H, W) by an integer factor; sample centers at (i+0.5)/f - 0.5."""
     factor = _check_factor("bilinear_upsample", factor)
-    c, h, w = x.shape
+    _check_images("bilinear_upsample", x)
+    h, w = x.shape[2:]
     y0, y1, wy0, wy1 = _bilinear_taps(np.arange(h * factor), h, factor, x.dtype)
     x0, x1, wx0, wx1 = _bilinear_taps(np.arange(w * factor), w, factor, x.dtype)
-    wy0, wy1 = wy0[None, :, None], wy1[None, :, None]
-    wx0, wx1 = wx0[None, None, :], wx1[None, None, :]
+    wy0, wy1 = wy0[:, None], wy1[:, None]
+    wx0, wx1 = wx0[None, :], wx1[None, :]
     d = x.data
-    out = wy0 * (wx0 * d[:, y0[:, None], x0[None, :]] + wx1 * d[:, y0[:, None], x1[None, :]]) \
-        + wy1 * (wx0 * d[:, y1[:, None], x0[None, :]] + wx1 * d[:, y1[:, None], x1[None, :]])
+    out = wy0 * (wx0 * d[:, :, y0[:, None], x0] + wx1 * d[:, :, y0[:, None], x1]) \
+        + wy1 * (wx0 * d[:, :, y1[:, None], x0] + wx1 * d[:, :, y1[:, None], x1])
 
     def bw(g):
         dx = np.zeros_like(d)
-        ci = np.arange(c)[:, None, None]
         for yi, wy in ((y0, wy0), (y1, wy1)):
             for xi, wx in ((x0, wx0), (x1, wx1)):
-                np.add.at(dx, (ci, yi[None, :, None], xi[None, None, :]), wy * wx * g)
+                np.add.at(dx, (slice(None), slice(None), yi[:, None], xi), wy * wx * g)
         _accumulate(x, dx)
 
     return Tensor._from_op(out, (x,), "bilinear_upsample", bw)
 
 
 def sample_bilinear(x, ys, xs, factor):
-    """Rows of ``bilinear_upsample(x, factor)`` at pixels (ys, xs), as (P, C).
+    """Rows of ``bilinear_upsample(x, factor)`` at pixels (ys, xs) of every image, as (B, P, C).
 
     Only the four taps of each requested pixel are read, so the result equals
     upsampling then selecting without building the full-resolution map."""
     factor = _check_factor("sample_bilinear", factor)
-    c, h, w = x.shape
+    _check_images("sample_bilinear", x)
+    nb, c, h, w = x.shape
     ys = np.asarray(ys, dtype=np.intp)
     xs = np.asarray(xs, dtype=np.intp)
     if ys.shape != xs.shape or ys.ndim != 1:
@@ -595,14 +613,17 @@ def sample_bilinear(x, ys, xs, factor):
     y0, y1, wy0, wy1 = _bilinear_taps(ys, h, factor, x.dtype)
     x0, x1, wx0, wx1 = _bilinear_taps(xs, w, factor, x.dtype)
     wy0, wy1, wx0, wx1 = wy0[:, None], wy1[:, None], wx0[:, None], wx1[:, None]
-    d = x.data.transpose(1, 2, 0)  # (H, W, C): each tap gathers whole rows
-    out = wy0 * (wx0 * d[y0, x0] + wx1 * d[y0, x1]) + wy1 * (wx0 * d[y1, x0] + wx1 * d[y1, x1])
+    d = x.data.transpose(0, 2, 3, 1)  # (B, H, W, C): each tap gathers whole rows
+    out = wy0 * (wx0 * d[:, y0, x0] + wx1 * d[:, y0, x1]) \
+        + wy1 * (wx0 * d[:, y1, x0] + wx1 * d[:, y1, x1])
 
     def bw(g):
         taps = ((y0, x0, wy0 * wx0), (y0, x1, wy0 * wx1), (y1, x0, wy1 * wx0), (y1, x1, wy1 * wx1))
         pixel = np.concatenate([yi * w + xi for yi, xi, _ in taps])
-        dx = _sum_rows(pixel, np.concatenate([wt * g for _, _, wt in taps]), h * w)
-        _accumulate(x, dx.reshape(h, w, c).transpose(2, 0, 1).astype(x.dtype, copy=False))
+        rows = (np.arange(nb)[:, None] * (h * w) + pixel).ravel()
+        values = np.concatenate([wt * g for _, _, wt in taps], axis=1).reshape(-1, c)
+        dx = _sum_rows(rows, values, nb * h * w)
+        _accumulate(x, dx.reshape(nb, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype, copy=False))
 
     return Tensor._from_op(out, (x,), "sample_bilinear", bw)
 

@@ -121,6 +121,8 @@ def _load_model(ckpt_path):
 
 
 def _cmd_predict(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     model, _ = _load_model(args.ckpt)
     tri_set = trispec.load_set(args.set)
     truth = load_labels(args.truth) if args.truth else None
@@ -179,10 +181,10 @@ def _cmd_areas(args):
     else:
         num_areas = args.areas or int(DEFAULTS["dcm.Z"][0])
         iters = args.iters or int(DEFAULTS["dcm.T"][0])
-        features = image.astype(np.float64) / 255.0
+        features = image[None].astype(np.float64) / 255.0
         scale = 1
     assignment = run_clustering(features, num_areas, iters)
-    grid = assignment.label_grid()
+    grid = assignment.label_grid()[0]
     full = np.kron(grid, np.ones((scale, scale), dtype=grid.dtype))
     full = full[:image.shape[1], :image.shape[2]]
 

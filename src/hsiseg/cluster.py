@@ -76,49 +76,74 @@ def make_grid(height, width, num_areas) -> GridLayout:
 
 @dataclass
 class AreaAssignment:
-    """Output of the clustering loop.
+    """Output of the clustering loop over a batch of B feature maps.
 
     ``affinity`` and ``centers`` stay on the gradient tape; ``labels`` and
-    ``counts`` are hard, non-differentiable structure.
+    ``counts`` are hard, non-differentiable structure. Every image has its
+    own Z areas.
     """
 
-    affinity: Tensor  # (N, Z), exact zeros outside each pixel's window
-    labels: np.ndarray  # (N,) argmax area per pixel
-    counts: np.ndarray  # (Z,) pixels per area
-    centers: Tensor  # (Z, C)
+    affinity: Tensor  # (B, N, Z), exact zeros outside each pixel's window
+    labels: np.ndarray  # (B, N) argmax area per pixel
+    counts: np.ndarray  # (B, Z) pixels per area
+    centers: Tensor  # (B, Z, C)
     layout: GridLayout
-    used_fallback: bool = False
+    used_fallback: bool = False  # in any image
 
     @property
     def num_areas(self):
         return self.layout.num_areas
 
+    @property
+    def area_ids(self):
+        """(B, N) labels offset by b * Z, so that no two images share an area id."""
+        return offset_labels(self.labels, self.num_areas)
+
     def label_grid(self):
-        return self.labels.reshape(self.layout.height, self.layout.width)
+        return self.labels.reshape(-1, self.layout.height, self.layout.width)
+
+
+def offset_labels(labels, num_areas):
+    """(B, N) per-image labels in [0, Z) -> batch-wide ids b * Z + z."""
+    return labels + num_areas * np.arange(labels.shape[0])[:, None]
+
+
+def area_means(tokens, labels, num_areas):
+    """(B, Z, C) means of (B, N, C) tokens over each image's (B, N) area labels.
+
+    One ``scatter_mean`` over all B*N rows; empty areas are zero rows."""
+    nb, n, c = tokens.shape
+    ids = offset_labels(np.broadcast_to(labels, (nb, n)), num_areas).ravel()
+    means = ad.scatter_mean(ad.reshape(tokens, (nb * n, c)), ids, nb * num_areas)
+    return ad.reshape(means, (nb, num_areas, c))
 
 
 def _to_tokens(features):
-    """(C, H, W) tensor or array -> ((N, C) tensor, C, H, W)."""
+    """(B, C, H, W) tensor or array -> ((B, N, C) tensor, C, H, W)."""
     if not isinstance(features, Tensor):
         features = Tensor(np.asarray(features))
-    if features.ndim != 3:
-        raise ContractError(f"expected (C, H, W) features, got {features.shape}")
-    c, h, w = features.shape
-    return ad.transpose(ad.reshape(features, (c, h * w))), c, h, w
+    if features.ndim != 4:
+        raise ContractError(f"expected (B, C, H, W) features, got {features.shape}")
+    nb, c, h, w = features.shape
+    return ad.transpose(ad.reshape(features, (nb, c, h * w)), (0, 2, 1)), c, h, w
 
 
 def init_centers(features, num_areas):
-    """Grid-cell feature means; returns (layout, (Z, C) centers)."""
+    """Grid-cell feature means; returns (layout, (B, Z, C) centers)."""
     tokens, _, h, w = _to_tokens(features)
     layout = make_grid(h, w, num_areas)
-    return layout, ad.scatter_mean(tokens, layout.cell_index, num_areas)
+    return layout, area_means(tokens, layout.cell_index, num_areas)
 
 
 def compute_affinity(tokens, centers, layout):
-    """exp(-squared euclidean distance) inside each pixel's window, zero outside."""
-    sq_t = (tokens * tokens).sum(axis=1, keepdims=True)  # (N, 1)
-    sq_c = (centers * centers).sum(axis=1)  # (Z,)
-    cross = ad.matmul(tokens, ad.transpose(centers))  # (N, Z)
+    """exp(-squared euclidean distance) inside each pixel's window, zero outside.
+
+    tokens (B, N, C) and centers (B, Z, C) give (B, N, Z); the (N, Z) window
+    mask broadcasts over the batch."""
+    nb, z = centers.shape[:2]
+    sq_t = (tokens * tokens).sum(axis=2, keepdims=True)  # (B, N, 1)
+    sq_c = ad.reshape((centers * centers).sum(axis=2), (nb, 1, z))
+    cross = ad.matmul(tokens, ad.transpose(centers, (0, 2, 1)))  # (B, N, Z)
     d2 = ad.relu(sq_t - 2.0 * cross + sq_c)  # clamp float negatives at zero distance
     mask = Tensor(layout.window_mask.astype(tokens.dtype))
     return ad.exp(-d2) * mask
@@ -127,30 +152,34 @@ def compute_affinity(tokens, centers, layout):
 def soft_update_centers(tokens, affinity, prev_centers):
     """Affinity-weighted feature means; zero-mass clusters keep their old center.
 
-    Returns (centers, used_fallback).
+    Returns ((B, Z, C) centers, used_fallback).
     """
-    mass = affinity.sum(axis=0)  # (Z,)
+    mass = affinity.sum(axis=1)  # (B, Z)
+    mass_col = (*mass.shape, 1)
     zero = mass.data <= 0.0
-    weighted = ad.matmul(ad.transpose(affinity), tokens)  # (Z, C)
+    weighted = ad.matmul(ad.transpose(affinity, (0, 2, 1)), tokens)  # (B, Z, C)
     if zero.any():
         safe = mass + Tensor(zero.astype(mass.dtype))
-        fresh = weighted / ad.reshape(safe, (-1, 1))
-        keep = Tensor(zero.astype(mass.dtype)[:, None])
+        fresh = weighted / ad.reshape(safe, mass_col)
+        keep = Tensor(zero.astype(mass.dtype)[..., None])
         return keep * prev_centers + (1.0 - keep) * fresh, True
-    return weighted / ad.reshape(mass, (-1, 1)), False
+    return weighted / ad.reshape(mass, mass_col), False
 
 
 def hard_assign(affinity, layout):
-    """Argmax over each pixel's candidate window; ties pick the smallest index."""
+    """Argmax over each pixel's candidate window; ties pick the smallest index.
+
+    (B, N, Z) affinity -> (B, N) labels and (B, Z) counts."""
     a = np.asarray(affinity.data if isinstance(affinity, Tensor) else affinity)
     candidates = np.where(layout.window_mask, a, -1.0)
-    labels = candidates.argmax(axis=1)
-    counts = np.bincount(labels, minlength=layout.num_areas)
-    return labels, counts
+    labels = candidates.argmax(axis=-1)
+    z = layout.num_areas
+    counts = np.bincount(offset_labels(labels, z).ravel(), minlength=labels.shape[0] * z)
+    return labels, counts.reshape(-1, z)
 
 
 def run_clustering(features, num_areas, iterations) -> AreaAssignment:
-    """T affinity/center rounds followed by one hard assignment."""
+    """T affinity/center rounds over (B, C, H, W) features, then one hard assignment."""
     if iterations < 1:
         raise ContractError(f"need at least one iteration, got {iterations}")
     tokens = _to_tokens(features)[0]

@@ -25,7 +25,7 @@ DEFAULTS = {
     "dcm.use_RAC": ("true", "run the per-area regional encoder"),
     "dcm.use_GAC": ("true", "run the descriptor/global branch"),
     "train.epochs": ("30", "training epochs"),
-    "train.batch": ("4", "whole tri-spectral images per batch"),
+    "train.batch": ("4", "whole tri-spectral images per batch (one tape)"),
     "train.lr": ("0.001", "initial backbone learning rate"),
     "train.momentum": ("0.9", "SGD momentum"),
     "train.weight_decay": ("0.0001", "weight decay"),

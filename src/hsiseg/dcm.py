@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .cluster import AreaAssignment, run_clustering
+from .cluster import AreaAssignment, area_means, run_clustering
 from .errors import ConfigError
 from .nn import (
     AttentionConfig,
@@ -25,7 +25,7 @@ from .nn import (
 
 
 class DualContextModule:
-    """Area-structured context extraction over a (C, H, W) feature map.
+    """Area-structured context extraction over a (B, C, H, W) batch of feature maps.
 
     Stream flags select what the output concatenates: the raw input map, the
     per-area encoded map, and the globally aggregated map. When the global
@@ -86,27 +86,34 @@ class DualContextModule:
     # -- stages ----------------------------------------------------------------
 
     def encode_regions(self, tokens, pos_tokens, areas: AreaAssignment):
-        """Encode every token with attention confined to its own area, in one pass."""
-        return self.region_encoder(tokens, pos=pos_tokens, groups=areas.labels)
+        """Encode (B, N, C) tokens with attention confined to each token's own
+        area, in one pass over the whole batch."""
+        return self.region_encoder(tokens, pos=pos_tokens, groups=areas.area_ids)
 
     def build_descriptors(self, tokens, areas: AreaAssignment):
-        """Per-area token means; empty areas yield zero rows plus a validity mask."""
-        summaries = ad.scatter_mean(tokens, areas.labels, areas.num_areas)
+        """(B, Z, C) per-area token means; empty areas yield zero rows, and the
+        (B, Z) validity mask marks the rest."""
+        summaries = area_means(tokens, areas.labels, areas.num_areas)
         return summaries, areas.counts > 0
 
     def forward(self, features):
-        """(C, H, W) tensor -> (out_channels, H, W) tensor plus the area structure."""
-        c, h, w = features.shape
+        """(B, C, H, W) tensor -> (B, out_channels, H, W) tensor plus the area structure."""
+        nb, c, h, w = features.shape
         n = h * w
         # areas are index structure; gradients reach the features through the
         # token paths, so clustering runs off-tape
         areas = run_clustering(features.detach(), self.num_areas, self.iterations)
-        tokens = ad.transpose(ad.reshape(features, (c, n)))
 
+        def as_tokens(maps):
+            return ad.transpose(ad.reshape(maps, (nb, c, n)), (0, 2, 1))
+
+        def as_maps(tokens):
+            return ad.reshape(ad.transpose(tokens, (0, 2, 1)), (nb, c, h, w))
+
+        tokens = as_tokens(features)
         regional_tokens = tokens
         if self.use_regional:
-            pos_tokens = ad.transpose(ad.reshape(self.pos_map(features), (c, n)))
-            regional_tokens = self.encode_regions(tokens, pos_tokens, areas)
+            regional_tokens = self.encode_regions(tokens, as_tokens(self.pos_map(features)), areas)
 
         streams = []
         if self.use_input:
@@ -116,11 +123,11 @@ class DualContextModule:
             encoded = self.summary_encoder(
                 summaries, pos=self.pos_seq(summaries), key_mask=valid)
             decoded = self.context_decoder(regional_tokens, encoded, key_mask=valid)
-            streams.append(ad.reshape(ad.transpose(decoded), (c, h, w)))
+            streams.append(as_maps(decoded))
         elif self.use_regional:
-            streams.append(ad.reshape(ad.transpose(regional_tokens), (c, h, w)))
+            streams.append(as_maps(regional_tokens))
 
-        out = streams[0] if len(streams) == 1 else ad.concat(streams, axis=0)
+        out = streams[0] if len(streams) == 1 else ad.concat(streams, axis=1)
         return out, areas
 
     __call__ = forward

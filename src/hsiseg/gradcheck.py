@@ -74,34 +74,34 @@ def primitive_programs(rng):
     yield "layernorm", (lambda x, g, b: (ad.layernorm(x, g, b) * w34).sum()), \
         [Tensor(x34.copy()), gamma, beta]
 
-    img = rng.standard_normal((2, 5, 6))
+    img = rng.standard_normal((1, 2, 5, 6))
     kern = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     bias = Tensor(rng.standard_normal(3), requires_grad=True)
-    wconv = _coeff(rng, (3, 5, 6))
+    wconv = _coeff(rng, (1, 3, 5, 6))
     yield "conv2d", (lambda x, w, b: (ad.conv2d(x, w, b) * wconv).sum()), \
         [Tensor(img.copy()), kern, bias]
 
     dk = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     db = Tensor(rng.standard_normal(2), requires_grad=True)
-    wdw = _coeff(rng, (2, 5, 6))
+    wdw = _coeff(rng, (1, 2, 5, 6))
     yield "depthwise_conv2d", (lambda x, w, b: (ad.depthwise_conv2d(x, w, b) * wdw).sum()), \
         [Tensor(img.copy()), dk, db]
 
-    wpool = _coeff(rng, (2, 2, 3))
+    wpool = _coeff(rng, (1, 2, 2, 3))
     yield "maxpool2d", (lambda x: (ad.maxpool2d(x, 2) * wpool).sum()), \
-        Tensor(_kink_free(rng, (2, 4, 6)))
+        Tensor(_kink_free(rng, (1, 2, 4, 6)))
 
-    wup = _coeff(rng, (2, 8, 6))
+    wup = _coeff(rng, (1, 2, 8, 6))
     yield "bilinear_upsample", (lambda x: (ad.bilinear_upsample(x, 2) * wup).sum()), \
-        Tensor(rng.standard_normal((2, 4, 3)))
+        Tensor(rng.standard_normal((1, 2, 4, 3)))
 
     # own generator, so the draws of every other program stay as they were
     own = np.random.default_rng(20230419)
     ys = np.concatenate([[0, 7, 7], own.integers(0, 8, 6)])
     xs = np.concatenate([[0, 5, 0], own.integers(0, 6, 6)])
-    wsb = Tensor(own.standard_normal((9, 2)))
+    wsb = Tensor(own.standard_normal((1, 9, 2)))
     yield "sample_bilinear", (lambda x: (ad.sample_bilinear(x, ys, xs, 2) * wsb).sum()), \
-        Tensor(own.standard_normal((2, 4, 3)))
+        Tensor(own.standard_normal((1, 2, 4, 3)))
 
     idx = np.array([0, 2, 2, 4, 1])
     wg = _coeff(rng, (5, 3))
@@ -123,29 +123,69 @@ def primitive_programs(rng):
     wsum = _coeff(rng, (4,))
     yield "sum_axis", (lambda x: (x.sum(axis=0) * wsum).sum()), Tensor(x34.copy())
 
+    yield from batched_image_programs()
+
+
+def batched_image_programs():
+    """The image primitives on a batch of B = 2 images, each program on its own
+    generator, so that the draws of every other program stay as they were."""
+    rng = np.random.default_rng(20261101)
+    kern = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(3), requires_grad=True)
+    wconv = _coeff(rng, (2, 3, 4, 5))
+    yield "conv2d_batched", (lambda x, w, b: (ad.conv2d(x, w, b) * wconv).sum()), \
+        [Tensor(rng.standard_normal((2, 2, 4, 5))), kern, bias]
+
+    rng = np.random.default_rng(20261102)
+    dk = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    db = Tensor(rng.standard_normal(2), requires_grad=True)
+    wdw = _coeff(rng, (2, 2, 4, 5))
+    yield "depthwise_conv2d_batched", \
+        (lambda x, w, b: (ad.depthwise_conv2d(x, w, b) * wdw).sum()), \
+        [Tensor(rng.standard_normal((2, 2, 4, 5))), dk, db]
+
+    rng = np.random.default_rng(20261103)
+    wpool = _coeff(rng, (2, 2, 2, 3))
+    yield "maxpool2d_batched", (lambda x: (ad.maxpool2d(x, 2) * wpool).sum()), \
+        Tensor(_kink_free(rng, (2, 2, 4, 6)))
+
+    rng = np.random.default_rng(20261104)
+    wup = _coeff(rng, (2, 2, 6, 8))
+    yield "bilinear_upsample_batched", \
+        (lambda x: (ad.bilinear_upsample(x, 2) * wup).sum()), \
+        Tensor(rng.standard_normal((2, 2, 3, 4)))
+
+    rng = np.random.default_rng(20261105)
+    ys = np.concatenate([[0, 5, 5], rng.integers(0, 6, 5)])
+    xs = np.concatenate([[0, 7, 0], rng.integers(0, 8, 5)])
+    wsb = _coeff(rng, (2, 8, 2))
+    yield "sample_bilinear_batched", \
+        (lambda x: (ad.sample_bilinear(x, ys, xs, 2) * wsb).sum()), \
+        Tensor(rng.standard_normal((2, 2, 3, 4)))
+
 
 def encoder_program(rng):
     cfg = AttentionConfig(channels=8, heads=2)
     layer = TransformerEncoderLayer(cfg, rng, dtype=np.float64)
-    pos = Tensor(rng.standard_normal((5, 8)))
-    w = _coeff(rng, (5, 8))
+    pos = Tensor(rng.standard_normal((1, 5, 8)))
+    w = _coeff(rng, (1, 5, 8))
 
     def f(x, *params):
         return (layer(x, pos=pos) * w).sum()
 
-    return f, [Tensor(rng.standard_normal((5, 8)))] + layer.parameters()
+    return f, [Tensor(rng.standard_normal((1, 5, 8)))] + layer.parameters()
 
 
 def decoder_program(rng):
     cfg = AttentionConfig(channels=8, heads=2)
     layer = TransformerDecoderLayer(cfg, rng, dtype=np.float64)
-    memory = Tensor(rng.standard_normal((4, 8)))
-    w = _coeff(rng, (7, 8))
+    memory = Tensor(rng.standard_normal((1, 4, 8)))
+    w = _coeff(rng, (1, 7, 8))
 
     def f(x, *params):
         return (layer(x, memory) * w).sum()
 
-    return f, [Tensor(rng.standard_normal((7, 8)))] + layer.parameters()
+    return f, [Tensor(rng.standard_normal((1, 7, 8)))] + layer.parameters()
 
 
 def clustering_program(rng):
@@ -153,19 +193,19 @@ def clustering_program(rng):
         areas = run_clustering(x, num_areas=4, iterations=2)
         return (areas.centers * areas.centers).sum()
 
-    return f, [Tensor(rng.standard_normal((3, 6, 6)))]
+    return f, [Tensor(rng.standard_normal((1, 3, 6, 6)))]
 
 
 def dcm_program(rng):
     block = DualContextModule(channels=8, num_areas=4, iterations=2, heads=2,
                               rng=rng, dtype=np.float64)
-    w = _coeff(rng, (16, 6, 6))
+    w = _coeff(rng, (1, 16, 6, 6))
 
     def f(x):
         out, _ = block(x)
         return (out * w).sum()
 
-    return f, [Tensor(rng.standard_normal((8, 6, 6)))]
+    return f, [Tensor(rng.standard_normal((1, 8, 6, 6)))]
 
 
 def model_program(rng):
@@ -182,7 +222,7 @@ def model_program(rng):
         main, aux, _ = model.forward_from_tensor(x)
         return model.loss(main, aux, labels)
 
-    return f, [Tensor(0.5 * rng.standard_normal((3, 16, 16)))]
+    return f, [Tensor(0.5 * rng.standard_normal((1, 3, 16, 16)))]
 
 
 def full_report(seed=0, eps=1e-5):

@@ -12,6 +12,7 @@ only, which equals upsampling and then selecting them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,8 @@ class DualContextNet:
                  input_mean=0.5, input_std=0.25, seed=0, dtype=np.float32):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {num_classes}")
+        if not (math.isfinite(input_std) and input_std > 0):
+            raise ConfigError(f"input_std must be finite and positive, got {input_std}")
         rng = np.random.default_rng(seed)
         cfg = backbone if backbone is not None else BackboneConfig()
         self.num_classes = num_classes
@@ -146,31 +149,35 @@ class DualContextNet:
     # -- forward passes -----------------------------------------------------------
 
     def prepare_input(self, image):
-        """uint8 (3, H, W) -> normalized real tensor, reflect-padded to stride 4."""
+        """uint8 (3, H, W) image or (B, 3, H, W) batch -> normalized (B, 3, H', W')
+        tensor, reflect-padded to stride 4, plus the unpadded (H, W)."""
         img = np.asarray(image)
-        if img.ndim != 3 or img.shape[0] != 3:
-            raise ContractError(f"expected a (3, H, W) image, got {img.shape}")
-        _, h, w = img.shape
+        if img.ndim == 3:
+            img = img[None]
+        if img.ndim != 4 or img.shape[0] < 1 or img.shape[1] != 3:
+            raise ContractError(
+                f"expected a (3, H, W) image or (B, 3, H, W) batch, got {img.shape}")
+        h, w = img.shape[2:]
         if h < 8 or w < 8:
             raise ContractError(f"image {h}x{w} is too small (needs >= 8)")
         x = (img.astype(self.dtype) / 255.0 - self.input_mean) / self.input_std
         ph, pw = (-h) % 4, (-w) % 4
         if ph or pw:
-            x = np.pad(x, ((0, 0), (0, ph), (0, pw)), mode="reflect")
+            x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
         return Tensor(x), (h, w)
 
     def forward_from_tensor(self, x):
-        """Run the padded, normalized (3, H', W') tensor through the network.
+        """Run the padded, normalized (B, 3, H', W') tensor through the network.
 
         Returns the stride-4 (main logits, aux logits, areas); the logit maps
-        are (num_classes, H'/4, W'/4)."""
+        are (B, num_classes, H'/4, W'/4)."""
         stage3, stage4 = self.backbone.forward(x)
         features = self.reduce(stage4)
         enriched, areas = self.context(features)
         return self.head(enriched), self.aux_head(stage3), areas
 
     def features(self, image):
-        """The reduced stride-4 feature map the context module clusters on."""
+        """The reduced stride-4 (B, C, H'/4, W'/4) feature map the context module clusters on."""
         x, _ = self.prepare_input(image)
         stage3, stage4 = self.backbone.forward(x)
         return self.reduce(stage4)
@@ -180,12 +187,17 @@ class DualContextNet:
     def loss(self, main_logits, aux_logits, labels):
         """Cross entropy over labeled pixels only: main + 0.4 * auxiliary.
 
-        The logits are either full resolution, matching the (H, W) label map,
-        or the stride-4 maps of the reflect-padded input, (ceil(H/4),
-        ceil(W/4)). Either way they are sampled bilinearly at the labeled
-        pixels, at factor 1 or 4; at factor 1 the sample is the pixel itself."""
+        The (B, K, h, w) logits are either full resolution, matching the
+        (H, W) label map that every image shares, or the stride-4 maps of the
+        reflect-padded input, (ceil(H/4), ceil(W/4)). Either way they are
+        sampled bilinearly at the labeled pixels, at factor 1 or 4; at factor
+        1 the sample is the pixel itself. Every image has the same P labeled
+        pixels, so the mean over all B*P rows is the mean of the per-image
+        losses."""
         lab = labels.labels if isinstance(labels, LabelMap) else np.asarray(labels)
-        factor = _logit_factor(main_logits.shape[1:], lab.shape)
+        if main_logits.ndim != 4:
+            raise ContractError(f"expected (B, K, h, w) logits, got {main_logits.shape}")
+        factor = _logit_factor(main_logits.shape[2:], lab.shape)
         if aux_logits.shape != main_logits.shape:
             raise ContractError(
                 f"aux logits {aux_logits.shape} do not match main logits {main_logits.shape}")
@@ -196,30 +208,36 @@ class DualContextNet:
         if ids.max() > self.num_classes:
             raise ContractError(
                 f"label id {ids.max()} exceeds the net's {self.num_classes} classes")
+        rows = main_logits.shape[0] * ys.size
         onehot = np.zeros((ys.size, self.num_classes), dtype=main_logits.dtype)
         onehot[np.arange(ys.size), ids - 1] = 1.0
-        onehot = Tensor(onehot)
+        onehot = Tensor(np.tile(onehot, (main_logits.shape[0], 1)))
 
         def labeled_ce(logits):
-            rows = ad.sample_bilinear(logits, ys, xs, factor)
-            return (ad.log_softmax(rows, axis=-1) * onehot).sum() * (-1.0 / ys.size)
+            sampled = ad.reshape(ad.sample_bilinear(logits, ys, xs, factor),
+                                 (rows, self.num_classes))
+            return (ad.log_softmax(sampled, axis=-1) * onehot).sum() * (-1.0 / rows)
 
         return labeled_ce(main_logits) + 0.4 * labeled_ce(aux_logits)
 
     def loss_on(self, image, labels):
+        """Mean loss of one (3, H, W) image or a (B, 3, H, W) batch, on one tape."""
         x, _ = self.prepare_input(image)
         main, aux, _ = self.forward_from_tensor(x)
         return self.loss(main, aux, labels)
 
     def predict_probabilities(self, image):
-        """Softmax of the main logits as a float32 (num_classes, H, W) array.
+        """Softmax of the main logits of one (3, H, W) image, as a float32
+        (num_classes, H, W) array.
 
         The stride-4 main logits are upsampled x4 and cropped to the image;
         the auxiliary logits are a training-only loss term and are dropped."""
+        if np.ndim(image) != 3:
+            raise ContractError(f"expected one (3, H, W) image, got {np.shape(image)}")
         with ad.no_grad():
             x, (h, w) = self.prepare_input(image)
             main, _, _ = self.forward_from_tensor(x)
-            dense = ad.bilinear_upsample(main, 4).data[:, :h, :w]
+            dense = ad.bilinear_upsample(main, 4).data[0, :, :h, :w]
             probs = ad.softmax(Tensor(dense), axis=0)
         return probs.data.astype(np.float32)
 

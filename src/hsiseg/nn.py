@@ -1,11 +1,12 @@
 """Transformer building blocks.
 
-Tokens are rows: a feature sequence is an (N, C) tensor. Attention follows
-the scaled-dot-product form with softmax over the key axis, so every query's
-weights sum to 1. Encoder and decoder layers are pre-norm residual blocks;
-the decoder carries no self-attention and no positional term. Self-attention
-can be confined to groups of tokens: every per-token step runs once over all
-N tokens, and only the scores are batched group by group.
+Tokens are rows: a batch of B feature sequences is a (B, N, C) tensor.
+Attention follows the scaled-dot-product form with softmax over the key
+axis, so every query's weights sum to 1. Encoder and decoder layers are
+pre-norm residual blocks; the decoder carries no self-attention and no
+positional term. Self-attention can be confined to groups of tokens: every
+per-token step runs once over all B*N tokens, and only the scores are
+batched group by group.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def uniform_init(rng, shape, fan_in, dtype):
 def attention_head(q, k, v, key_mask=None, return_weights=False):
     """Attention over the last two axes: q (..., Nq, d), k/v (..., Nk, d) -> (..., Nq, d).
 
-    Leading axes are a batch (the heads, in ``MultiHeadAttention``). The
+    Leading axes are a batch (images and heads, in ``MultiHeadAttention``). The
     softmax runs over the key axis, so each query row's weights sum to 1;
     ``key_mask`` (broadcast against the scores) gives masked keys weight 0.
     """
@@ -111,20 +112,33 @@ class MultiHeadAttention:
         self.wo = Parameter(uniform_init(rng, (c, c), c, dtype), name=f"{prefix}.wo")
         self.bo = Parameter(np.zeros(c, dtype), name=f"{prefix}.bo")
 
-    def _split_heads(self, x, w, b):
-        """(N, C) tokens -> (h, N, d) per-head projections."""
-        shape = (x.shape[0], self.cfg.heads, self.cfg.head_dim)
-        return ad.transpose(ad.reshape(ad.matmul(x, w) + b, shape), (1, 0, 2))
+    def _split_heads(self, x, w, b, axes=(0, 2, 1, 3)):
+        """(B, N, C) tokens -> per-head projections, (B, h, N, d) by default."""
+        shape = (*x.shape[:2], self.cfg.heads, self.cfg.head_dim)
+        return ad.transpose(ad.reshape(ad.matmul(x, w) + b, shape), axes)
 
     def __call__(self, x_q, x_kv, key_mask=None, groups=None):
+        """(B, Nq, C) queries and (B, Nk, C) keys/values -> (B, Nq, C).
+
+        ``key_mask`` is (B, Nk); ``groups`` is (B, Nq), with ids that no two
+        images share."""
         c = self.cfg.channels
-        if x_q.shape[1] != c or x_kv.shape[1] != c:
-            raise ContractError(f"attention expects {c} channels, got {x_q.shape} and {x_kv.shape}")
+        if (x_q.ndim != 3 or x_kv.ndim != 3 or x_q.shape[0] != x_kv.shape[0]
+                or x_q.shape[2] != c or x_kv.shape[2] != c):
+            raise ContractError(
+                f"attention expects (B, N, {c}) tokens, got {x_q.shape} and {x_kv.shape}")
+        nb, nq = x_q.shape[:2]
         if groups is None:
+            mask = None
+            if key_mask is not None:
+                mask = np.asarray(key_mask, dtype=bool)
+                if mask.shape != (nb, x_kv.shape[1]):
+                    raise ContractError(f"key mask {mask.shape} for keys {x_kv.shape[:2]}")
+                mask = mask[:, None, None, :]
             heads = attention_head(self._split_heads(x_q, self.wq, self.bq),
                                    self._split_heads(x_kv, self.wk, self.bk),
-                                   self._split_heads(x_kv, self.wv, self.bv), key_mask)
-            joined = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x_q.shape[0], c))
+                                   self._split_heads(x_kv, self.wv, self.bv), mask)
+            joined = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (nb, nq, c))
         else:
             if x_kv is not x_q or key_mask is not None:
                 raise ContractError("groups apply to self-attention without a key mask")
@@ -132,21 +146,23 @@ class MultiHeadAttention:
         return ad.matmul(joined, self.wo) + self.bo
 
     def _grouped_heads(self, x, groups):
-        """(N, C) tokens -> (N, C) joined heads, each token attending within its group.
+        """(B, N, C) tokens -> (B, N, C) joined heads, each token attending within its group.
 
-        q/k/v are projected once and laid out as (h*N, d) rows, so one gather
-        per bucket yields (Zb, h, Lb, d) directly; the padded keys are masked
-        and the padded queries are never read back.
+        The batch's tokens are one sequence of n = B*N rows. q/k/v are
+        projected once and laid out as (h*n, d) rows, so one gather per
+        bucket yields (Zb, h, Lb, d) directly; the padded keys are masked and
+        the padded queries are never read back.
         """
-        n, h, d = x.shape[0], self.cfg.heads, self.cfg.head_dim
-        if groups.shape != (n,):
-            raise ContractError(f"attention groups {groups.shape} for {n} tokens")
-        rows = [ad.reshape(self._split_heads(x, w, b), (h * n, d))
+        nb, n_img, c = x.shape
+        n, h, d = nb * n_img, self.cfg.heads, self.cfg.head_dim
+        if groups.shape != (nb, n_img):
+            raise ContractError(f"attention groups {groups.shape} for tokens {x.shape[:2]}")
+        rows = [ad.reshape(self._split_heads(x, w, b, (2, 0, 1, 3)), (h * n, d))
                 for w, b in ((self.wq, self.bq), (self.wk, self.bk), (self.wv, self.bv))]
         head_rows = np.arange(h)[:, None] * n  # (h, 1): first row of each head
         slot = np.empty((n, h), dtype=np.intp)  # where each token's heads land
         pieces, filled = [], 0
-        for tokens, mask in group_buckets(groups):
+        for tokens, mask in group_buckets(groups.ravel()):
             zb, lb = tokens.shape
             index = tokens[:, None, :] + head_rows  # (Zb, h, Lb)
             out = attention_head(*(ad.gather_rows(r, index) for r in rows),
@@ -156,7 +172,7 @@ class MultiHeadAttention:
             slot[tokens[z, pos]] = filled + (z[:, None] * h + np.arange(h)) * lb + pos[:, None]
             filled += zb * h * lb
         joined = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-        return ad.reshape(ad.gather_rows(joined, slot), (n, h * d))
+        return ad.reshape(ad.gather_rows(joined, slot), (nb, n_img, c))
 
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.bq, self.bk, self.bv, self.wo, self.bo]
@@ -239,7 +255,7 @@ class TransformerDecoderLayer(TransformerEncoderLayer):
 
 
 class PositionalConv2d:
-    """3x3 depthwise convolution over a (C, H, W) map, padding 1."""
+    """3x3 depthwise convolution over a (B, C, H, W) batch of maps, padding 1."""
 
     def __init__(self, channels, rng, dtype=np.float32, prefix="pos2d"):
         self.weight = Parameter(uniform_init(rng, (channels, 3, 3), 9, dtype), name=f"{prefix}.weight")
@@ -253,19 +269,20 @@ class PositionalConv2d:
 
 
 class PositionalConv1d:
-    """Depthwise 1-D convolution along a (N, C) token sequence, kernel 3, padding 1.
+    """Depthwise 1-D convolution along each (N, C) sequence of a (B, N, C) batch,
+    kernel 3, padding 1.
 
-    Runs as a depthwise 1x3 convolution of the tokens viewed as a (C, 1, N) map."""
+    Runs as a depthwise 1x3 convolution of the tokens viewed as a (B, C, 1, N) map."""
 
     def __init__(self, channels, rng, dtype=np.float32, prefix="pos1d"):
         self.weight = Parameter(uniform_init(rng, (channels, 3), 3, dtype), name=f"{prefix}.weight")
         self.bias = Parameter(np.zeros(channels, dtype), name=f"{prefix}.bias")
 
     def __call__(self, x):
-        n, c = x.shape
-        seq = ad.reshape(ad.transpose(x), (c, 1, n))
+        nb, n, c = x.shape
+        seq = ad.reshape(ad.transpose(x, (0, 2, 1)), (nb, c, 1, n))
         out = ad.depthwise_conv2d(seq, ad.reshape(self.weight, (-1, 1, 3)), self.bias)
-        return ad.transpose(ad.reshape(out, (c, n)))
+        return ad.transpose(ad.reshape(out, (nb, c, n)), (0, 2, 1))
 
     def parameters(self):
         return [self.weight, self.bias]

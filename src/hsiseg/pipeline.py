@@ -39,6 +39,14 @@ class TrainConfig:
         if self.epochs < 1 or self.batch < 1:
             raise ConfigError(
                 f"training needs epochs >= 1 and batch >= 1, got {self.epochs} and {self.batch}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.poly_power) and self.poly_power >= 0):
+            raise ConfigError(f"poly_power must be finite and >= 0, got {self.poly_power}")
+        if not 0 <= self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -76,7 +84,8 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
           out_dir=None) -> TrainResult:
     """Momentum SGD over whole tri-spectral images with a poly learning rate.
 
-    Every batch samples complete images against the shared label map. With a
+    Every batch stacks complete images into one (B, 3, H, W) array and runs
+    them through the net on one tape, against the shared label map. With a
     positive ``val_fraction`` a seeded slice of images is held out and scored
     by voting after each epoch. Writes train_log.csv / val_log.csv when
     ``out_dir`` is given.
@@ -111,18 +120,15 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
             chunk = order[b * cfg.batch:(b + 1) * cfg.batch]
             lr = ad.poly_lr(cfg.lr, iteration, max_iter, cfg.poly_power)
             model.zero_grad()
-            total = None
-            for i in chunk:
-                loss = model.loss_on(tri_set.images[int(i)], labels)
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(chunk))
-            if not np.isfinite(total.data).all():
+            loss = model.loss_on(np.stack([tri_set.images[int(i)] for i in chunk]), labels)
+            if not np.isfinite(loss.data).all():
                 raise DataError(
-                    f"non-finite loss {total.item()!r} at iteration {iteration} on images "
-                    f"{[int(i) for i in chunk]}, produced by op {ad.nonfinite_op(total)!r}")
-            total.backward()
+                    f"non-finite loss {loss.item()!r} at iteration {iteration} on images "
+                    f"{[int(i) for i in chunk]}, produced by op {ad.nonfinite_op(loss)!r}")
+            loss.backward()
             opt.step(lr)
-            train_rows.append((iteration, lr, total.item()))
+            train_rows.append((iteration, lr, loss.item()))
+            del loss  # free this batch's tape before the next forward builds one
             iteration += 1
         if holdout:
             report = run_inference_set(model, held_out, truth=labels)[3]
@@ -130,15 +136,24 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "train_log.csv"), "w") as fh:
-            fh.write("iter,lr,loss\n")
-            for it, lr, loss in train_rows:
-                fh.write(f"{it},{lr!r},{loss!r}\n")
-        with open(os.path.join(out_dir, "val_log.csv"), "w") as fh:
-            fh.write("epoch,oa_hard,oa_soft\n")
-            for epoch, oa_hard, oa_soft in val_rows:
-                fh.write(f"{epoch},{oa_hard!r},{oa_soft!r}\n")
+        _write_atomic(os.path.join(out_dir, "train_log.csv"), "iter,lr,loss\n" + "".join(
+            f"{it},{lr!r},{loss!r}\n" for it, lr, loss in train_rows))
+        _write_atomic(os.path.join(out_dir, "val_log.csv"), "epoch,oa_hard,oa_soft\n" + "".join(
+            f"{epoch},{oa_hard!r},{oa_soft!r}\n" for epoch, oa_hard, oa_soft in val_rows))
     return TrainResult(model, train_rows, val_rows, holdout)
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to a temp file next to ``path``, then rename it into place,
+    so that an interrupted run never leaves a partial file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def predict_image(model, image) -> ProbMap:

@@ -89,12 +89,12 @@ def test_criterion_4_clustering_oracle():
     for _ in range(50):
         f = rng.standard_normal((4, 8, 8))
         for t in (1, 3, 5):
-            areas = run_clustering(Tensor(f), 4, t)
+            areas = run_clustering(Tensor(f[None]), 4, t)
             labels, centers = dense_clustering_oracle(f, 4, t, areas.layout)
-            if not np.array_equal(areas.labels, labels):
+            if not np.array_equal(areas.labels[0], labels):
                 _report(4, False, f"label mismatch at T={t}")
             worst_center = max(worst_center,
-                               float(np.abs(areas.centers.data - centers).max()))
+                               float(np.abs(areas.centers.data[0] - centers).max()))
     _report(4, worst_center < 1e-6,
             f"150 runs, labels identical, max center error {worst_center:.2e}")
 
@@ -108,10 +108,10 @@ def test_criterion_5_structural_identity():
         block = DualContextModule(channels=8, num_areas=4, iterations=3, heads=2,
                                   rng=rng, dtype=np.float64)
         block.zero_output_projections()
-        f = Tensor(rng.standard_normal((8, 8, 8)))
+        f = Tensor(rng.standard_normal((1, 8, 8, 8)))
         out, _ = block(f)
         pos = block.pos_map(f).data
-        expected = np.concatenate([f.data, f.data + pos], axis=0)
+        expected = np.concatenate([f.data, f.data + pos], axis=1)
         worst = max(worst, float(np.abs(out.data - expected).max()))
     _report(5, worst < 1e-6, f"zero-projection identity, max deviation {worst:.2e}")
 
@@ -206,15 +206,15 @@ def test_criterion_9_loss_sanity():
     labels = np.zeros((8, 8), np.uint16)
     labels[2, 3] = 1
     labels[5, 6] = 4
-    main = Tensor(np.zeros((4, 8, 8)), requires_grad=True)
-    aux = Tensor(np.zeros((4, 8, 8)), requires_grad=True)
+    main = Tensor(np.zeros((1, 4, 8, 8)), requires_grad=True)
+    aux = Tensor(np.zeros((1, 4, 8, 8)), requires_grad=True)
     loss = model.loss(main, aux, labels)
     value_ok = abs(loss.item() - 1.4 * math.log(4)) < 1e-6
 
     loss.backward()
     mask = labels > 0
-    zero_ok = (np.all(main.grad[:, ~mask] == 0.0) and np.all(aux.grad[:, ~mask] == 0.0)
-               and np.any(main.grad[:, mask] != 0.0))
+    zero_ok = (np.all(main.grad[0][:, ~mask] == 0.0) and np.all(aux.grad[0][:, ~mask] == 0.0)
+               and np.any(main.grad[0][:, mask] != 0.0))
     _report(9, value_ok and zero_ok,
             f"uniform-logit loss {loss.item():.8f} vs 1.4 ln 4 = {1.4 * math.log(4):.8f}; "
             f"unlabeled gradients exactly zero")

@@ -29,7 +29,7 @@ class TestForwardExamples:
 
     def test_conv_1x1_doubling(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
         w = np.full((1, 1, 1, 1), 2.0)
         out = ad.conv2d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.data, 2.0 * x)
@@ -97,7 +97,7 @@ class TestBackward:
             lp = ad.log_softmax(tokens, axis=-1)
             return -(lp.reshape((-1,)) * target).sum() * (1 / 9)
 
-        err = grad_check(f, Tensor(rng.standard_normal((1, 3, 3))))
+        err = grad_check(f, Tensor(rng.standard_normal((1, 1, 3, 3))))
         assert err < 1e-6
 
     def test_diamond_graph_visits_nodes_once(self):
@@ -110,9 +110,9 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 4 * x.data)
 
     def test_maxpool_tie_routes_to_first(self):
-        x = Tensor(np.array([[[1.0, 1.0], [0.0, 0.0]]]), requires_grad=True)
+        x = Tensor(np.array([[[[1.0, 1.0], [0.0, 0.0]]]]), requires_grad=True)
         ad.maxpool2d(x, 2).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
 class TestInvariants:
@@ -132,10 +132,10 @@ class TestInvariants:
         assert np.abs(out.var(axis=-1) - 1).max() < 1e-5
 
     def test_bilinear_preserves_constants_exactly(self):
-        x = Tensor(np.full((2, 5, 7), 3.1415926))
+        x = Tensor(np.full((1, 2, 5, 7), 3.1415926))
         out = ad.bilinear_upsample(x, 4)
-        assert out.shape == (2, 20, 28)
-        np.testing.assert_array_equal(out.data, np.full((2, 20, 28), 3.1415926))
+        assert out.shape == (1, 2, 20, 28)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 20, 28), 3.1415926))
 
     def test_scatter_then_gather_reproduces_group_means(self):
         rng = np.random.default_rng(4)
@@ -148,7 +148,7 @@ class TestInvariants:
 
     def test_forward_determinism(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 8, 8))
+        x = rng.standard_normal((1, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
 
         def run():
@@ -184,18 +184,23 @@ def _direct_same_correlation(x, w, b, g, depthwise=False):
     return out + b[:, None, None], dx, dw, g.sum(axis=(1, 2))
 
 
-def _check_against_direct_sum(op, x_shape, w_shape, depthwise, seed):
+def _check_against_direct_sum(op, x_shape, w_shape, depthwise, seed, batch=1):
+    """``op`` on a batch of ``batch`` (C, H, W) images against the per-image
+    direct sums; the w and b gradients sum over the images."""
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    x = Tensor(rng.standard_normal((batch, *x_shape)), requires_grad=True)
     w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
     b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
     out = op(x, w, b)
     g = rng.standard_normal(out.shape)
     (out * Tensor(g)).sum().backward()
-    ref = _direct_same_correlation(x.data, w.data, b.data, g, depthwise)
-    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    refs = [_direct_same_correlation(x.data[i], w.data, b.data, g[i], depthwise)
+            for i in range(batch)]
+    want = (np.stack([r[0] for r in refs]), np.stack([r[1] for r in refs]),
+            sum(r[2] for r in refs), sum(r[3] for r in refs))
+    for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestSameConvolutions:
@@ -222,11 +227,20 @@ class TestSameConvolutions:
     def test_depthwise_conv2d(self, x_shape, w_shape):
         _check_against_direct_sum(ad.depthwise_conv2d, x_shape, w_shape, True, 50 + x_shape[2])
 
+    @pytest.mark.parametrize("op,w_shape,depthwise", [
+        (ad.conv2d, (4, 3, 3, 3), False),
+        (ad.conv2d, (2, 3, 1, 1), False),
+        (ad.depthwise_conv2d, (3, 3, 3), True),
+        (ad.depthwise_conv2d, (3, 1, 3), True),
+    ])
+    def test_batch_of_three_images(self, op, w_shape, depthwise):
+        _check_against_direct_sum(op, (3, 4, 5), w_shape, depthwise, 60, batch=3)
+
     @pytest.mark.parametrize("op,x_shape,w_shape", [
-        (ad.conv2d, (2, 4, 4), (3, 2, 2, 2)),
-        (ad.conv2d, (2, 4, 4), (3, 2, 3, 2)),
-        (ad.depthwise_conv2d, (2, 4, 4), (2, 2, 2)),
-        (ad.depthwise_conv2d, (2, 1, 4), (2, 1, 4)),
+        (ad.conv2d, (1, 2, 4, 4), (3, 2, 2, 2)),
+        (ad.conv2d, (1, 2, 4, 4), (3, 2, 3, 2)),
+        (ad.depthwise_conv2d, (1, 2, 4, 4), (2, 2, 2)),
+        (ad.depthwise_conv2d, (1, 2, 1, 4), (2, 1, 4)),
     ])
     def test_even_kernel_rejected(self, op, x_shape, w_shape):
         with pytest.raises(ContractError, match="odd"):
@@ -238,30 +252,50 @@ class TestSampleBilinear:
     @pytest.mark.parametrize("factor", [1, 4])
     def test_rows_equal_upsampled_pixels(self, dtype, factor):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((3, 5, 7)).astype(dtype))
+        x = Tensor(rng.standard_normal((1, 3, 5, 7)).astype(dtype))
         ys = np.array([0, 19, 19, 3, 10, 10]) % (5 * factor)
         xs = np.array([0, 27, 0, 14, 5, 5]) % (7 * factor)
         rows = ad.sample_bilinear(x, ys, xs, factor)
         full = ad.bilinear_upsample(x, factor)
         assert rows.dtype == full.dtype == dtype
-        np.testing.assert_array_equal(rows.data, full.data[:, ys, xs].T)
+        np.testing.assert_array_equal(rows.data[0], full.data[0][:, ys, xs].T)
 
     def test_gradient_equals_upsample_then_select(self):
         rng = np.random.default_rng(12)
-        x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 3)), requires_grad=True)
         ys = rng.integers(0, 16, 20)
         xs = rng.integers(0, 12, 20)
-        w = rng.standard_normal((20, 2))
+        w = rng.standard_normal((1, 20, 2))
         (ad.sample_bilinear(x, ys, xs, 4) * Tensor(w)).sum().backward()
         sampled = x.grad
         x.grad = None
-        cot = np.zeros((2, 16, 12))
-        np.add.at(cot, (slice(None), ys, xs), w.T)
+        cot = np.zeros((1, 2, 16, 12))
+        np.add.at(cot[0], (slice(None), ys, xs), w[0].T)
         (ad.bilinear_upsample(x, 4) * Tensor(cot)).sum().backward()
         np.testing.assert_allclose(sampled, x.grad, rtol=1e-13, atol=1e-14)
 
+    def test_batch_equals_per_image(self):
+        """sample_bilinear, bilinear_upsample and maxpool2d on a batch of three
+        images give each image's own result, values and gradients alike."""
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 2, 4, 6))
+        ys, xs = rng.integers(0, 8, 7), rng.integers(0, 12, 7)
+        ops = [lambda t: ad.sample_bilinear(t, ys, xs, 2),
+               lambda t: ad.bilinear_upsample(t, 2), lambda t: ad.maxpool2d(t, 2)]
+        for op in ops:
+            batch = Tensor(x.copy(), requires_grad=True)
+            out = op(batch)
+            g = rng.standard_normal(out.shape)
+            (out * Tensor(g)).sum().backward()
+            for i in range(3):
+                one = Tensor(x[i:i + 1].copy(), requires_grad=True)
+                ref = op(one)
+                (ref * Tensor(g[i:i + 1])).sum().backward()
+                np.testing.assert_array_equal(out.data[i:i + 1], ref.data)
+                np.testing.assert_allclose(batch.grad[i:i + 1], one.grad, rtol=1e-14, atol=1e-15)
+
     def test_points_outside_rejected(self):
-        x = Tensor(np.zeros((1, 2, 2)))
+        x = Tensor(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ContractError):
             ad.sample_bilinear(x, [8], [0], 4)
         with pytest.raises(ContractError):
@@ -333,7 +367,7 @@ class TestDtype:
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((6, 3)).astype(np.float32), requires_grad=True)
         means = ad.scatter_mean(x, np.array([0, 1, 0, 2, 1, 0]), 4)
-        image = Tensor(rng.standard_normal((2, 3, 3)).astype(np.float32), requires_grad=True)
+        image = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32), requires_grad=True)
         up = ad.bilinear_upsample(image, 4)
         assert means.dtype == up.dtype == np.float32
         (means.sum() + up.sum()).backward()

@@ -158,6 +158,11 @@ class TestTrainPredictVoteEval:
 
     @pytest.mark.parametrize("override", [
         "train.epochs = 0", "train.batch = 0", "dcm.heads = 0", "dcm.mlp_ratio = 0", "dcm.C = 0",
+        "train.val_fraction = 2", "train.val_fraction = 1", "train.val_fraction = -0.1",
+        "train.lr = nan", "train.lr = inf", "train.lr = 0", "train.lr = -0.001",
+        "train.momentum = 1", "train.momentum = -0.5",
+        "train.poly_power = -1", "train.poly_power = nan",
+        "model.input_std = 0", "model.input_std = -0.25", "model.input_std = inf",
     ])
     def test_out_of_range_config_fails_cleanly(self, scene, tmp_path, capsys, override):
         cfg = tmp_path / "bad.cfg"
@@ -166,6 +171,14 @@ class TestTrainPredictVoteEval:
                          "--labels", str(scene / "train.lbl"),
                          "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_predict_jobs_below_one_rejected(self, scene, trained, tmp_path, capsys, jobs):
+        out = tmp_path / "pred"
+        assert dispatch(["predict", "--ckpt", str(trained), "--set", str(scene / "set"),
+                         "--out", str(out), "--jobs", jobs]) == 1
+        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_sidecar_fails_cleanly(self, scene, tmp_path):
         ghost = tmp_path / "ghost.ckpt"

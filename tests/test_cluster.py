@@ -95,36 +95,36 @@ class TestInitCenters:
         values[0, :2, 2:] = 2.0
         values[0, 2:, :2] = 3.0
         values[0, 2:, 2:] = 4.0
-        layout, centers = init_centers(Tensor(values), 4)
+        layout, centers = init_centers(Tensor(values[None]), 4)
         np.testing.assert_allclose(centers.data.ravel(), [1, 2, 3, 4])
 
     def test_constant_map(self):
-        layout, centers = init_centers(Tensor(np.full((3, 4, 4), 2.5)), 4)
+        layout, centers = init_centers(Tensor(np.full((1, 3, 4, 4), 2.5)), 4)
         np.testing.assert_allclose(centers.data, 2.5)
 
 
 class TestAffinity:
     def test_zero_distance_gives_one(self):
         layout = make_grid(4, 4, 4)
-        tokens = Tensor(np.zeros((16, 2)))
-        centers = Tensor(np.zeros((4, 2)))
+        tokens = Tensor(np.zeros((1, 16, 2)))
+        centers = Tensor(np.zeros((1, 4, 2)))
         a = compute_affinity(tokens, centers, layout)
-        assert np.all(a.data[layout.window_mask] == 1.0)
-        assert np.all(a.data[~layout.window_mask] == 0.0)
+        assert np.all(a.data[0][layout.window_mask] == 1.0)
+        assert np.all(a.data[0][~layout.window_mask] == 0.0)
 
     def test_unit_distance_value(self):
         layout = make_grid(4, 4, 4)
-        tokens = Tensor(np.zeros((16, 1)))
-        centers = Tensor(np.ones((4, 1)))
+        tokens = Tensor(np.zeros((1, 16, 1)))
+        centers = Tensor(np.ones((1, 4, 1)))
         a = compute_affinity(tokens, centers, layout)
-        np.testing.assert_allclose(a.data[layout.window_mask], math.exp(-1), rtol=1e-12)
+        np.testing.assert_allclose(a.data[0][layout.window_mask], math.exp(-1), rtol=1e-12)
 
     def test_affinity_in_unit_interval(self):
         rng = np.random.default_rng(0)
         layout = make_grid(6, 6, 4)
-        tokens = Tensor(rng.standard_normal((36, 3)))
-        centers = Tensor(rng.standard_normal((4, 3)))
-        a = compute_affinity(tokens, centers, layout).data
+        tokens = Tensor(rng.standard_normal((1, 36, 3)))
+        centers = Tensor(rng.standard_normal((1, 4, 3)))
+        a = compute_affinity(tokens, centers, layout).data[0]
         inside = a[layout.window_mask]
         assert inside.min() > 0 and inside.max() <= 1.0
 
@@ -132,34 +132,36 @@ class TestAffinity:
 class TestSoftUpdate:
     def test_one_hot_columns_give_hard_means(self):
         rng = np.random.default_rng(1)
-        tokens = Tensor(rng.standard_normal((6, 2)))
+        tokens = Tensor(rng.standard_normal((1, 6, 2)))
         a = np.zeros((6, 4))
         groups = np.array([0, 1, 2, 3, 0, 1])
         a[np.arange(6), groups] = 1.0
-        centers, flagged = soft_update_centers(tokens, Tensor(a), Tensor(np.zeros((4, 2))))
+        centers, flagged = soft_update_centers(tokens, Tensor(a[None]),
+                                               Tensor(np.zeros((1, 4, 2))))
         assert not flagged
         for i in range(4):
-            np.testing.assert_allclose(centers.data[i], tokens.data[groups == i].mean(axis=0))
+            np.testing.assert_allclose(centers.data[0, i],
+                                       tokens.data[0, groups == i].mean(axis=0))
 
     def test_uniform_affinity_gives_global_mean(self):
         rng = np.random.default_rng(2)
-        tokens = Tensor(rng.standard_normal((8, 3)))
-        a = Tensor(np.full((8, 4), 0.25))
-        centers, _ = soft_update_centers(tokens, a, Tensor(np.zeros((4, 3))))
+        tokens = Tensor(rng.standard_normal((1, 8, 3)))
+        a = Tensor(np.full((1, 8, 4), 0.25))
+        centers, _ = soft_update_centers(tokens, a, Tensor(np.zeros((1, 4, 3))))
         for i in range(4):
-            np.testing.assert_allclose(centers.data[i], tokens.data.mean(axis=0))
+            np.testing.assert_allclose(centers.data[0, i], tokens.data[0].mean(axis=0))
 
     def test_two_pixel_hand_case(self):
-        tokens = Tensor(np.array([[1.0], [3.0]]))
-        a = Tensor(np.array([[0.8, 0.2], [0.2, 0.8]]))
-        centers, _ = soft_update_centers(tokens, a, Tensor(np.zeros((2, 1))))
+        tokens = Tensor(np.array([[[1.0], [3.0]]]))
+        a = Tensor(np.array([[[0.8, 0.2], [0.2, 0.8]]]))
+        centers, _ = soft_update_centers(tokens, a, Tensor(np.zeros((1, 2, 1))))
         np.testing.assert_allclose(centers.data.ravel(),
                                    [(0.8 * 1 + 0.2 * 3) / 1.0, (0.2 * 1 + 0.8 * 3) / 1.0])
 
     def test_zero_mass_column_keeps_previous_center(self):
-        tokens = Tensor(np.array([[1.0], [3.0]]))
-        a = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        prev = Tensor(np.array([[10.0], [20.0]]))
+        tokens = Tensor(np.array([[[1.0], [3.0]]]))
+        a = Tensor(np.array([[[1.0, 0.0], [1.0, 0.0]]]))
+        prev = Tensor(np.array([[[10.0], [20.0]]]))
         centers, flagged = soft_update_centers(tokens, a, prev)
         assert flagged
         np.testing.assert_allclose(centers.data.ravel(), [2.0, 20.0])
@@ -170,28 +172,28 @@ class TestHardAssign:
         layout = make_grid(4, 4, 4)
         a = np.zeros((16, 4))
         a[:, 0] = 0.5  # only cluster 0 has support
-        labels, counts = hard_assign(np.where(layout.window_mask, a, 0), layout)
-        assert np.all(labels[layout.window_mask[:, 0]] == 0)
+        labels, counts = hard_assign(np.where(layout.window_mask, a, 0)[None], layout)
+        assert np.all(labels[0][layout.window_mask[:, 0]] == 0)
 
     def test_tie_breaks_to_smallest_index(self):
         layout = make_grid(6, 6, 9)
         a = np.where(layout.window_mask, 0.7, 0.0)
-        labels, _ = hard_assign(a, layout)
+        labels, _ = hard_assign(a[None], layout)
         # every pixel's label is the smallest cluster in its window
         expected = np.array([np.nonzero(row)[0][0] for row in layout.window_mask])
-        np.testing.assert_array_equal(labels, expected)
+        np.testing.assert_array_equal(labels[0], expected)
 
     def test_matches_exhaustive_argmax(self):
         rng = np.random.default_rng(3)
         layout = make_grid(6, 6, 4)
         a = np.where(layout.window_mask, rng.random((36, 4)), 0.0)
-        labels, counts = hard_assign(a, layout)
+        labels, counts = hard_assign(a[None], layout)
         for j in range(36):
             best, best_val = None, -1
             for i in range(4):
                 if layout.window_mask[j, i] and a[j, i] > best_val:
                     best, best_val = i, a[j, i]
-            assert labels[j] == best
+            assert labels[0, j] == best
         assert counts.sum() == 36
 
 
@@ -200,22 +202,22 @@ class TestRunClustering:
         values = np.zeros((2, 4, 4))
         for (r, c), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 4.0, 8.0, 12.0]):
             values[:, 2 * r:2 * r + 2, 2 * c:2 * c + 2] = v
-        areas = run_clustering(Tensor(values), 4, 1)
-        grid = areas.label_grid()
+        areas = run_clustering(Tensor(values[None]), 4, 1)
+        grid = areas.label_grid()[0]
         assert len(np.unique(grid)) == 4
         for (r, c), label in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [0, 1, 2, 3]):
             assert np.all(grid[2 * r:2 * r + 2, 2 * c:2 * c + 2] == label)
 
     def test_constant_map_tie_rule(self):
-        areas = run_clustering(Tensor(np.full((2, 6, 6), 1.0)), 4, 3)
+        areas = run_clustering(Tensor(np.full((1, 2, 6, 6), 1.0)), 4, 3)
         expected = np.array([np.nonzero(row)[0][0] for row in areas.layout.window_mask])
-        np.testing.assert_array_equal(areas.labels, expected)
+        np.testing.assert_array_equal(areas.labels[0], expected)
 
     def test_two_blobs_two_areas(self):
         values = np.zeros((1, 4, 8))
         values[0, :, 4:] = 10.0
-        areas = run_clustering(Tensor(values), 4, 5)
-        grid = areas.label_grid()
+        areas = run_clustering(Tensor(values[None]), 4, 5)
+        grid = areas.label_grid()[0]
         left = set(np.unique(grid[:, :4]))
         right = set(np.unique(grid[:, 4:]))
         assert left.isdisjoint(right)
@@ -225,32 +227,32 @@ class TestRunClustering:
         for trial in range(10):
             f = rng.standard_normal((4, 8, 8))
             for t in (1, 3, 5):
-                areas = run_clustering(Tensor(f), 4, t)
+                areas = run_clustering(Tensor(f[None]), 4, t)
                 labels, centers = dense_clustering_oracle(f, 4, t, areas.layout)
-                np.testing.assert_array_equal(areas.labels, labels)
-                np.testing.assert_allclose(areas.centers.data, centers, atol=1e-6)
+                np.testing.assert_array_equal(areas.labels[0], labels)
+                np.testing.assert_allclose(areas.centers.data[0], centers, atol=1e-6)
 
     def test_partition_and_locality(self):
         rng = np.random.default_rng(5)
-        areas = run_clustering(Tensor(rng.standard_normal((3, 8, 12))), 8, 3)
+        areas = run_clustering(Tensor(rng.standard_normal((1, 3, 8, 12))), 8, 3)
         assert areas.counts.sum() == 96
         # every label inside the pixel's candidate window
-        assert np.all(areas.layout.window_mask[np.arange(96), areas.labels])
+        assert np.all(areas.layout.window_mask[np.arange(96), areas.labels[0]])
 
     def test_idempotent_once_stable(self):
         values = np.zeros((1, 4, 8))
         values[0, :, 4:] = 10.0
-        a5 = run_clustering(Tensor(values), 4, 5)
-        a8 = run_clustering(Tensor(values), 4, 8)
+        a5 = run_clustering(Tensor(values[None]), 4, 5)
+        a8 = run_clustering(Tensor(values[None]), 4, 8)
         np.testing.assert_array_equal(a5.labels, a8.labels)
 
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((4, 6, 6))
-        base = run_clustering(Tensor(f), 4, 3)
-        perm = run_clustering(Tensor(f[[2, 0, 3, 1]]), 4, 3)
+        base = run_clustering(Tensor(f[None]), 4, 3)
+        perm = run_clustering(Tensor(f[None, [2, 0, 3, 1]]), 4, 3)
         np.testing.assert_array_equal(base.labels, perm.labels)
-        np.testing.assert_allclose(perm.centers.data, base.centers.data[:, [2, 0, 3, 1]])
+        np.testing.assert_allclose(perm.centers.data, base.centers.data[:, :, [2, 0, 3, 1]])
 
     def test_differentiable_through_soft_path(self):
         rng = np.random.default_rng(7)
@@ -259,9 +261,25 @@ class TestRunClustering:
             areas = run_clustering(x, 4, 2)
             return (areas.centers * areas.centers).sum()
 
-        err = grad_check(f, Tensor(rng.standard_normal((3, 6, 6))))
+        err = grad_check(f, Tensor(rng.standard_normal((1, 3, 6, 6))))
         assert err < 1e-4
+
+    def test_batch_equals_per_image(self):
+        """Three maps clustered as one batch give each map's own areas; one map
+        is constant, so its clusters tie."""
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((3, 4, 8, 8))
+        f[1] = 0.5
+        batch = run_clustering(Tensor(f), 4, 3)
+        assert batch.labels.shape == (3, 64) and batch.counts.shape == (3, 4)
+        np.testing.assert_array_equal(batch.area_ids, batch.labels + 4 * np.arange(3)[:, None])
+        for i in range(3):
+            one = run_clustering(Tensor(f[i:i + 1]), 4, 3)
+            np.testing.assert_array_equal(batch.labels[i], one.labels[0])
+            np.testing.assert_array_equal(batch.counts[i], one.counts[0])
+            np.testing.assert_allclose(batch.centers.data[i], one.centers.data[0],
+                                       rtol=1e-14, atol=1e-15)
 
     def test_iteration_precondition(self):
         with pytest.raises(ContractError):
-            run_clustering(Tensor(np.zeros((2, 4, 4))), 4, 0)
+            run_clustering(Tensor(np.zeros((1, 2, 4, 4))), 4, 0)

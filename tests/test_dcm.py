@@ -11,14 +11,14 @@ from hsiseg.errors import ConfigError
 
 
 def _manual_assignment(labels, num_areas, h, w):
-    """Area structure built directly from a label vector (bypasses clustering)."""
+    """Area structure of one image built directly from a label vector (bypasses clustering)."""
     layout = make_grid(h, w, num_areas)
     labels = np.asarray(labels)
     counts = np.bincount(labels, minlength=num_areas)
     return AreaAssignment(
-        affinity=Tensor(np.zeros((h * w, num_areas))),
-        labels=labels, counts=counts,
-        centers=Tensor(np.zeros((num_areas, 1))), layout=layout)
+        affinity=Tensor(np.zeros((1, h * w, num_areas))),
+        labels=labels[None], counts=counts[None],
+        centers=Tensor(np.zeros((1, num_areas, 1))), layout=layout)
 
 
 def _block(rng, channels=6, areas=4, iters=2, heads=2, **kw):
@@ -31,18 +31,18 @@ class TestStructuralIdentity:
         rng = np.random.default_rng(0)
         block = _block(rng)
         block.zero_output_projections()
-        f = Tensor(rng.standard_normal((6, 8, 8)))
+        f = Tensor(rng.standard_normal((1, 6, 8, 8)))
         out, _ = block(f)
         pos = block.pos_map(f).data
-        expected = np.concatenate([f.data, f.data + pos], axis=0)
+        expected = np.concatenate([f.data, f.data + pos], axis=1)
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
     def test_output_channel_count_doubles(self):
         rng = np.random.default_rng(1)
         block = _block(rng)
         assert block.out_channels == 12
-        out, _ = block(Tensor(rng.standard_normal((6, 8, 8))))
-        assert out.shape == (12, 8, 8)
+        out, _ = block(Tensor(rng.standard_normal((1, 6, 8, 8))))
+        assert out.shape == (1, 12, 8, 8)
 
 
 class TestStreamFlags:
@@ -50,15 +50,15 @@ class TestStreamFlags:
         rng = np.random.default_rng(2)
         block = _block(rng, use_global=False)
         assert block.out_channels == 12
-        out, _ = block(Tensor(rng.standard_normal((6, 8, 8))))
-        assert out.shape == (12, 8, 8)
+        out, _ = block(Tensor(rng.standard_normal((1, 6, 8, 8))))
+        assert out.shape == (1, 12, 8, 8)
 
     def test_global_without_regional(self):
         rng = np.random.default_rng(3)
         block = _block(rng, use_regional=False)
         assert block.out_channels == 12
-        out, _ = block(Tensor(rng.standard_normal((6, 8, 8))))
-        assert out.shape == (12, 8, 8)
+        out, _ = block(Tensor(rng.standard_normal((1, 6, 8, 8))))
+        assert out.shape == (1, 12, 8, 8)
 
     def test_context_only(self):
         rng = np.random.default_rng(4)
@@ -68,7 +68,7 @@ class TestStreamFlags:
     def test_input_only_is_identity(self):
         rng = np.random.default_rng(5)
         block = _block(rng, use_regional=False, use_global=False)
-        f = Tensor(rng.standard_normal((6, 8, 8)))
+        f = Tensor(rng.standard_normal((1, 6, 8, 8)))
         out, _ = block(f)
         np.testing.assert_array_equal(out.data, f.data)
 
@@ -82,8 +82,8 @@ class TestRegionalEncoding:
     def test_single_area_equals_full_image_pass(self):
         rng = np.random.default_rng(7)
         block = _block(rng, channels=4, areas=4)
-        tokens = Tensor(rng.standard_normal((16, 4)))
-        pos = Tensor(rng.standard_normal((16, 4)))
+        tokens = Tensor(rng.standard_normal((1, 16, 4)))
+        pos = Tensor(rng.standard_normal((1, 16, 4)))
         areas = _manual_assignment(np.zeros(16, dtype=int), 4, 4, 4)
         out = block.encode_regions(tokens, pos, areas)
         full = block.region_encoder(tokens, pos=pos)
@@ -96,11 +96,11 @@ class TestRegionalEncoding:
         pos = rng.standard_normal((16, 4))
         labels = np.array([0] * 7 + [3] * 9)
         areas = _manual_assignment(labels, 4, 4, 4)
-        out = block.encode_regions(Tensor(tokens), Tensor(pos), areas).data
+        out = block.encode_regions(Tensor(tokens[None]), Tensor(pos[None]), areas).data[0]
         for area in (0, 3):
             idx = np.nonzero(labels == area)[0]
-            manual = block.region_encoder(Tensor(tokens[idx]), pos=Tensor(pos[idx]))
-            np.testing.assert_allclose(out[idx], manual.data, atol=1e-12)
+            manual = block.region_encoder(Tensor(tokens[None, idx]), pos=Tensor(pos[None, idx]))
+            np.testing.assert_allclose(out[idx], manual.data[0], atol=1e-12)
 
     def test_scatter_gather_round_trip(self):
         """Restitched rows land exactly where their pixels came from."""
@@ -111,35 +111,37 @@ class TestRegionalEncoding:
         pos = np.zeros((16, 4))
         labels = rng.integers(0, 4, 16)
         areas = _manual_assignment(labels, 4, 4, 4)
-        out = block.encode_regions(Tensor(tokens), Tensor(pos), areas)
-        np.testing.assert_allclose(out.data, tokens)
+        out = block.encode_regions(Tensor(tokens[None]), Tensor(pos[None]), areas)
+        np.testing.assert_allclose(out.data[0], tokens)
 
     def test_single_pixel_area_handled(self):
         rng = np.random.default_rng(10)
         block = _block(rng, channels=4, areas=4)
         labels = np.array([1] + [0] * 15)
         areas = _manual_assignment(labels, 4, 4, 4)
-        out = block.encode_regions(Tensor(rng.standard_normal((16, 4))),
-                                   Tensor(rng.standard_normal((16, 4))), areas)
+        out = block.encode_regions(Tensor(rng.standard_normal((1, 16, 4))),
+                                   Tensor(rng.standard_normal((1, 16, 4))), areas)
         assert np.all(np.isfinite(out.data))
 
 
 def per_area_loop(block, tokens, pos, areas):
-    """The encoder run once per live area, restitched into token order."""
-    n = tokens.shape[0]
-    order = np.argsort(areas.labels, kind="stable")
+    """The encoder run once per live area of one image's (1, N, C) tokens,
+    restitched into token order."""
+    n, c = tokens.shape[1:]
+    tokens, pos = ad.reshape(tokens, (n, c)), ad.reshape(pos, (n, c))
+    order = np.argsort(areas.labels[0], kind="stable")
     pieces, start = [], 0
-    for count in areas.counts:
+    for count in areas.counts[0]:
         if count == 0:
             continue
-        idx = order[start:start + count]
+        idx = order[start:start + count][None]
         start += count
-        pieces.append(block.region_encoder(ad.gather_rows(tokens, idx),
-                                           pos=ad.gather_rows(pos, idx)))
+        out = block.region_encoder(ad.gather_rows(tokens, idx), pos=ad.gather_rows(pos, idx))
+        pieces.append(ad.reshape(out, (count, c)))
     stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.arange(n)
-    return ad.gather_rows(stacked, inverse)
+    return ad.reshape(ad.gather_rows(stacked, inverse), (1, n, c))
 
 
 def _skewed(rng, n, z):
@@ -167,8 +169,8 @@ class TestAreaBatchedEquivalence:
             p.data = p.data + 0.1 * rng.standard_normal(p.shape)  # nonzero biases
         labels = make_labels(rng, h * w, z)
         areas = _manual_assignment(labels, z, h, w)
-        tokens, pos = rng.standard_normal((h * w, c)), rng.standard_normal((h * w, c))
-        weight = Tensor(rng.standard_normal((h * w, c)))
+        tokens, pos = rng.standard_normal((1, h * w, c)), rng.standard_normal((1, h * w, c))
+        weight = Tensor(rng.standard_normal((1, h * w, c)))
 
         results = []
         for encode in (block.encode_regions, lambda t, p, a: per_area_loop(block, t, p, a)):
@@ -187,7 +189,7 @@ class TestDescriptors:
     def test_uniform_area_value(self):
         rng = np.random.default_rng(11)
         block = _block(rng, channels=4, areas=4)
-        tokens = np.ones((16, 4)) * 2.5
+        tokens = np.ones((1, 16, 4)) * 2.5
         areas = _manual_assignment(rng.integers(0, 4, 16), 4, 4, 4)
         summaries, valid = block.build_descriptors(Tensor(tokens), areas)
         np.testing.assert_allclose(summaries.data[valid], 2.5)
@@ -197,8 +199,8 @@ class TestDescriptors:
         tokens = np.array([[1.0, 0.0], [3.0, 0.0]] + [[0.0, 0.0]] * 14)
         labels = np.array([2, 2] + [0] * 14)
         areas = _manual_assignment(labels, 4, 4, 4)
-        summaries, _ = block.build_descriptors(Tensor(tokens), areas)
-        np.testing.assert_allclose(summaries.data[2], [2.0, 0.0])
+        summaries, _ = block.build_descriptors(Tensor(tokens[None]), areas)
+        np.testing.assert_allclose(summaries.data[0, 2], [2.0, 0.0])
 
     def test_mass_conservation(self):
         """sum_i n_i v_i equals the total token mass."""
@@ -206,8 +208,8 @@ class TestDescriptors:
         block = _block(rng, channels=6, areas=4)
         tokens = rng.standard_normal((36, 6))
         areas = _manual_assignment(rng.integers(0, 4, 36), 4, 6, 6)
-        summaries, _ = block.build_descriptors(Tensor(tokens), areas)
-        weighted = (areas.counts[:, None] * summaries.data).sum(axis=0)
+        summaries, _ = block.build_descriptors(Tensor(tokens[None]), areas)
+        weighted = (areas.counts[0, :, None] * summaries.data[0]).sum(axis=0)
         np.testing.assert_allclose(weighted, tokens.sum(axis=0), atol=1e-5)
 
     def test_empty_area_masked(self):
@@ -216,16 +218,16 @@ class TestDescriptors:
         labels = np.zeros(16, dtype=int)  # areas 1..3 empty
         areas = _manual_assignment(labels, 4, 4, 4)
         summaries, valid = block.build_descriptors(
-            Tensor(rng.standard_normal((16, 4))), areas)
-        np.testing.assert_array_equal(valid, [True, False, False, False])
-        np.testing.assert_array_equal(summaries.data[1:], 0.0)
+            Tensor(rng.standard_normal((1, 16, 4))), areas)
+        np.testing.assert_array_equal(valid, [[True, False, False, False]])
+        np.testing.assert_array_equal(summaries.data[0, 1:], 0.0)
 
 
 class TestForward:
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         block = _block(rng)
-        f = rng.standard_normal((6, 8, 8))
+        f = rng.standard_normal((1, 6, 8, 8))
         a, _ = block(Tensor(f))
         b, _ = block(Tensor(f))
         assert a.data.tobytes() == b.data.tobytes()
@@ -233,17 +235,17 @@ class TestForward:
     def test_gradient_check_through_block(self):
         rng = np.random.default_rng(16)
         block = _block(rng, channels=4, areas=4, iters=2)
-        w = Tensor(rng.standard_normal((8, 6, 6)))
+        w = Tensor(rng.standard_normal((1, 8, 6, 6)))
 
         def f(x):
             out, _ = block(x)
             return (out * w).sum()
 
-        err = ad.grad_check(f, Tensor(rng.standard_normal((4, 6, 6))))
+        err = ad.grad_check(f, Tensor(rng.standard_normal((1, 4, 6, 6))))
         assert err < 1e-4
 
     def test_areas_returned_cover_map(self):
         rng = np.random.default_rng(17)
         block = _block(rng)
-        _, areas = block(Tensor(rng.standard_normal((6, 8, 8))))
+        _, areas = block(Tensor(rng.standard_normal((1, 6, 8, 8))))
         assert areas.counts.sum() == 64

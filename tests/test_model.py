@@ -1,6 +1,7 @@
 """Network assembly: backbone strides, forward shapes, loss analytics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,16 +23,17 @@ class TestBackbone:
     def test_stride_four(self):
         rng = np.random.default_rng(0)
         bb = Backbone(BackboneConfig(), rng, np.float32)
-        stage3, stage4 = bb.forward(Tensor(rng.standard_normal((3, 32, 32)).astype(np.float32)))
-        assert stage3.shape == (64, 8, 8)
-        assert stage4.shape == (64, 8, 8)
+        stage3, stage4 = bb.forward(
+            Tensor(rng.standard_normal((1, 3, 32, 32)).astype(np.float32)))
+        assert stage3.shape == (1, 64, 8, 8)
+        assert stage4.shape == (1, 64, 8, 8)
 
     def test_constant_input_constant_interior(self):
         rng = np.random.default_rng(1)
         bb = Backbone(BackboneConfig(widths=(4, 4, 4, 4), convs_per_stage=(1, 1, 1, 1)),
                       rng, np.float64)
         conv = bb.stages[0][0]
-        out = conv(Tensor(np.full((3, 8, 8), 0.7))).data
+        out = conv(Tensor(np.full((1, 3, 8, 8), 0.7))).data[0]
         interior = out[:, 1:-1, 1:-1]
         # zero padding only disturbs the one-pixel border
         np.testing.assert_allclose(
@@ -87,7 +89,7 @@ class TestForward:
         model = tiny_model()
         img = np.random.default_rng(h * w).integers(0, 256, (3, h, w)).astype(np.uint8)
         x, _ = model.prepare_input(img)
-        main = ad.bilinear_upsample(model.forward_from_tensor(x)[0], 4).data[:, :h, :w]
+        main = ad.bilinear_upsample(model.forward_from_tensor(x)[0], 4).data[0, :, :h, :w]
         e = np.exp(main - main.max(axis=0))
         expected = (e / e.sum(axis=0)).astype(np.float32)
         assert model.predict_probabilities(img).tobytes() == expected.tobytes()
@@ -103,7 +105,7 @@ class TestForward:
 
 class TestLoss:
     def _logit_pair(self, classes, h, w, fill=0.0):
-        shape = (classes, h, w)
+        shape = (1, classes, h, w)
         return Tensor(np.full(shape, fill)), Tensor(np.full(shape, fill))
 
     def test_uniform_logits_analytic_value(self):
@@ -120,8 +122,8 @@ class TestLoss:
         model = tiny_model(classes=3)
         labels = np.zeros((4, 4), np.uint16)
         labels[2, 2] = 2
-        logits = np.zeros((3, 4, 4))
-        logits[1, 2, 2] = 60.0  # softmax saturates to one
+        logits = np.zeros((1, 3, 4, 4))
+        logits[0, 1, 2, 2] = 60.0  # softmax saturates to one
         loss = model.loss(Tensor(logits), Tensor(logits), labels)
         assert 0 <= loss.item() < 1e-12
 
@@ -142,20 +144,20 @@ class TestLoss:
             return total / len(entries)
 
         expected = ce(main) + 0.4 * ce(aux)
-        loss = model.loss(Tensor(main), Tensor(aux), labels)
+        loss = model.loss(Tensor(main[None]), Tensor(aux[None]), labels)
         np.testing.assert_allclose(loss.item(), expected, rtol=1e-12)
 
     def test_unlabeled_gradient_exactly_zero(self):
         model = tiny_model(classes=3)
         rng = np.random.default_rng(7)
-        main = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
-        aux = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
+        main = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
+        aux = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
         labels = np.zeros((4, 4), np.uint16)
         labels[0, 1] = 2
         labels[3, 3] = 1
         model.loss(main, aux, labels).backward()
         mask = labels > 0
-        for g in (main.grad, aux.grad):
+        for g in (main.grad[0], aux.grad[0]):
             assert np.all(g[:, ~mask] == 0.0)
             assert np.any(g[:, mask] != 0.0)
 
@@ -165,8 +167,8 @@ class TestLoss:
         labels = rng.integers(0, 5, (4, 4)).astype(np.uint16)
         labels[0, 0] = 1
         for _ in range(5):
-            main = Tensor(rng.standard_normal((4, 4, 4)) * 3)
-            aux = Tensor(rng.standard_normal((4, 4, 4)) * 3)
+            main = Tensor(rng.standard_normal((1, 4, 4, 4)) * 3)
+            aux = Tensor(rng.standard_normal((1, 4, 4, 4)) * 3)
             assert model.loss(main, aux, labels).item() >= 0
 
     def test_no_labels_rejected(self):
@@ -235,7 +237,7 @@ class TestStrideFourLoss:
         def ce(logits):
             full = ad.bilinear_upsample(logits, 4)  # padded size; labeled pixels lie inside
             tokens = ad.transpose(ad.reshape(full, (model.num_classes, -1)))
-            picked = ad.gather_rows(tokens, ys * full.shape[2] + xs)
+            picked = ad.gather_rows(tokens, ys * full.shape[3] + xs)
             return (ad.log_softmax(picked, axis=-1) * Tensor(onehot)).sum() * (-1.0 / ys.size)
 
         return ce(main) + 0.4 * ce(aux)
@@ -264,7 +266,7 @@ class TestStrideFourLoss:
         labels = np.ones((30, 30), np.uint16)
 
         def logits(h, w):
-            return Tensor(np.zeros((3, h, w)))
+            return Tensor(np.zeros((1, 3, h, w)))
 
         model.loss(logits(8, 8), logits(8, 8), labels)  # stride 4 of the 32x32 padding
         for h, w in ((7, 8), (15, 15), (16, 16)):
@@ -288,6 +290,77 @@ class TestStrideFourLoss:
             stack.extend(node._parents)
         assert {id(p) for p in model.parameters()} <= seen
         assert foreign == []
+
+
+def four_images():
+    """Four 32x32 images whose desk-net forward passes have 14, 16, 16 and 15
+    live areas at float64; the first has two empty areas, and the third is
+    constant, so its clustering ties."""
+    rng = np.random.default_rng(50)
+    images = rng.integers(0, 256, (4, 3, 32, 32)).astype(np.uint8)
+    yy, xx = np.mgrid[0:32, 0:32]
+    images[1] = np.stack([(yy * 8) % 256, (xx * 8) % 256, ((yy + xx) * 4) % 256])
+    images[2] = 128
+    labels = np.zeros(32 * 32, np.uint16)
+    labels[rng.choice(32 * 32, 60, replace=False)] = rng.integers(1, 10, 60)
+    return images, labels.reshape(32, 32)
+
+
+class TestBatchedTraining:
+    """Float64: one tape over a (B, 3, H, W) batch equals the mean of B
+    per-image tapes, on the loss and on every parameter gradient."""
+
+    def test_images_differ_in_live_areas(self):
+        images, _ = four_images()
+        model = desk_model(np.float64)
+        with ad.no_grad():
+            _, _, areas = model.forward_from_tensor(model.prepare_input(images)[0])
+        assert areas.counts.shape == (4, 16)
+        assert list(np.count_nonzero(areas.counts, axis=1)) == [14, 16, 16, 15]
+
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    def test_matches_per_image_tapes(self, batch):
+        images, labels = four_images()
+        model = desk_model(np.float64)
+        params = model.parameters()
+
+        loss = model.loss_on(images[:batch], labels)
+        loss.backward()
+        grads = [p.grad.copy() for p in params]
+        model.zero_grad()
+        per_image = [model.loss_on(images[i], labels) for i in range(batch)]
+        total = per_image[0]
+        for term in per_image[1:]:
+            total = total + term
+        total = total * (1.0 / batch)
+        total.backward()
+
+        np.testing.assert_allclose(loss.item(), total.item(), rtol=1e-12)
+        # relative to the largest gradient entry: the attention key biases have
+        # an exactly zero true gradient, so theirs is rounding noise on both sides
+        scale = max(np.abs(p.grad).max() for p in params)
+        for p, g in zip(params, grads):
+            np.testing.assert_allclose(g, p.grad, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=p.name)
+
+    def test_predictions_match_per_image_network(self):
+        """Float64 desk net with 3 classes: ``predict_probabilities`` equals
+        the output the network gave before it had a batch axis (commit
+        856b011), stored in tests/data/desk_predict_per_image.npz."""
+        model = DualContextNet(
+            num_classes=3, backbone=BackboneConfig(widths=(16, 32, 64, 64),
+                                                   convs_per_stage=(1, 1, 2, 2)),
+            channels=32, num_areas=16, iterations=3, heads=2, seed=1, dtype=np.float64)
+        rng = np.random.default_rng(2026)
+        stored = np.load(Path(__file__).parent / "data" / "desk_predict_per_image.npz")
+        for key, (h, w) in (("probs_32x32", (32, 32)), ("probs_30x34", (30, 34))):
+            probs = model.predict_probabilities(rng.integers(0, 256, (3, h, w)).astype(np.uint8))
+            np.testing.assert_allclose(probs, stored[key], rtol=1e-12, atol=1e-12, err_msg=key)
+
+    def test_prediction_takes_one_image(self):
+        images, _ = four_images()
+        with pytest.raises(ContractError):
+            tiny_model().predict_probabilities(images[:2])
 
 
 class TestFullScale:

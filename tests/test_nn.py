@@ -62,7 +62,7 @@ def per_head_composition(x_q, x_kv, block, key_mask=None):
         k = ad.matmul(x_kv, leaf("wk", cols)) + leaf("bk", cols)
         v = ad.matmul(x_kv, leaf("wv", cols)) + leaf("bv", cols)
         heads.append(attention_head(q, k, v, key_mask))
-    joined = ad.concat(heads, axis=1)
+    joined = ad.concat(heads, axis=-1)
     return ad.matmul(joined, block.wo) + block.bo, leaves
 
 
@@ -138,12 +138,44 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         block = MultiHeadAttention(AttentionConfig(8, 2), rng, np.float64)
         with pytest.raises(ContractError):
-            block(Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 6))))
+            block(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 6))))
+
+    @pytest.mark.parametrize("q_shape,kv_shape,mask_shape", [
+        ((3, 8), (3, 8), None),  # no batch axis
+        ((2, 3, 8), (1, 3, 8), None),  # batch sizes differ
+        ((1, 3, 8), (1, 3, 8), (3,)),  # mask without its batch axis
+    ])
+    def test_batch_and_mask_shapes_checked(self, q_shape, kv_shape, mask_shape):
+        block = MultiHeadAttention(AttentionConfig(8, 2), np.random.default_rng(4), np.float64)
+        mask = None if mask_shape is None else np.ones(mask_shape, bool)
+        with pytest.raises(ContractError):
+            block(Tensor(np.zeros(q_shape)), Tensor(np.zeros(kv_shape)), key_mask=mask)
+
+    def test_batch_equals_per_image(self):
+        """Cross-attention with a (B, Nk) key mask, and grouped self-attention
+        with batch-wide group ids, give each image its own result."""
+        rng = np.random.default_rng(34)
+        block = MultiHeadAttention(AttentionConfig(8, 2), rng, np.float64)
+        xq, xkv = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 4, 8))
+        mask = np.array([[True, False, True, True], [False, False, True, False],
+                         [True, True, True, True]])
+        labels = np.array([[0, 1, 0, 3, 1], [2, 2, 2, 2, 2], [1, 0, 1, 0, 3]])
+        cross = block(Tensor(xq), Tensor(xkv), key_mask=mask).data
+        t = Tensor(xq)
+        grouped = block(t, t, groups=labels + 4 * np.arange(3)[:, None]).data
+        for i in range(3):
+            one_q, one_kv = Tensor(xq[i:i + 1]), Tensor(xkv[i:i + 1])
+            np.testing.assert_allclose(
+                cross[i:i + 1], block(one_q, one_kv, key_mask=mask[i:i + 1]).data,
+                rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                grouped[i:i + 1], block(one_q, one_q, groups=labels[i:i + 1]).data,
+                rtol=0, atol=1e-13)
 
     def test_single_head_is_projected_attention(self):
         rng = np.random.default_rng(5)
         block = MultiHeadAttention(AttentionConfig(4, 1), rng, np.float64)
-        x = Tensor(rng.standard_normal((5, 4)))
+        x = Tensor(rng.standard_normal((1, 5, 4)))
         q = ad.matmul(x, Tensor(block.wq.data[:, 0:4])) + Tensor(block.bq.data[0:4])
         k = ad.matmul(x, Tensor(block.wk.data[:, 0:4])) + Tensor(block.bk.data[0:4])
         v = ad.matmul(x, Tensor(block.wv.data[:, 0:4])) + Tensor(block.bv.data[0:4])
@@ -155,25 +187,25 @@ class TestMultiHeadAttention:
         block = MultiHeadAttention(AttentionConfig(8, 4), rng, np.float64)
         x = rng.standard_normal((7, 8))
         perm = rng.permutation(7)
-        out = block(Tensor(x), Tensor(x)).data
-        out_perm = block(Tensor(x[perm]), Tensor(x[perm])).data
+        out = block(Tensor(x[None]), Tensor(x[None])).data[0]
+        out_perm = block(Tensor(x[None, perm]), Tensor(x[None, perm])).data[0]
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
 
     def test_cross_attention_key_permutation_invariance(self):
         rng = np.random.default_rng(7)
         block = MultiHeadAttention(AttentionConfig(8, 2), rng, np.float64)
-        x1 = Tensor(rng.standard_normal((3, 8)))
+        x1 = Tensor(rng.standard_normal((1, 3, 8)))
         x2 = rng.standard_normal((5, 8))
-        out = block(x1, Tensor(x2)).data
-        out_perm = block(x1, Tensor(x2[rng.permutation(5)])).data
+        out = block(x1, Tensor(x2[None])).data
+        out_perm = block(x1, Tensor(x2[None, rng.permutation(5)])).data
         np.testing.assert_allclose(out_perm, out, atol=1e-10)
 
     def test_single_key_broadcasts_one_vector(self):
         rng = np.random.default_rng(8)
         block = MultiHeadAttention(AttentionConfig(6, 2), rng, np.float64)
-        x1 = Tensor(rng.standard_normal((4, 6)))
-        x2 = Tensor(rng.standard_normal((1, 6)))
-        out = block(x1, x2).data
+        x1 = Tensor(rng.standard_normal((1, 4, 6)))
+        x2 = Tensor(rng.standard_normal((1, 1, 6)))
+        out = block(x1, x2).data[0]
         for r in range(1, 4):
             np.testing.assert_allclose(out[r], out[0])
 
@@ -182,7 +214,7 @@ class TestMultiHeadAttention:
         block = MultiHeadAttention(AttentionConfig(8, 2), rng, np.float64)
         x1 = rng.standard_normal((3, 8))
         x2 = rng.standard_normal((5, 8))
-        out = block(Tensor(x1), Tensor(x2)).data
+        out = block(Tensor(x1[None]), Tensor(x2[None])).data[0]
         np.testing.assert_allclose(out, mha_oracle(x1, x2, block), atol=1e-12)
 
     def test_eight_parameter_tensors_for_any_head_count(self):
@@ -200,12 +232,12 @@ class TestMultiHeadAttention:
         block = MultiHeadAttention(AttentionConfig(8, heads), rng, np.float64)
         for p in block.parameters():
             p.data = p.data + 0.1 * rng.standard_normal(p.shape)  # nonzero biases
-        xq, xkv = rng.standard_normal((3, 8)), rng.standard_normal((5, 8))
+        xq, xkv = rng.standard_normal((1, 3, 8)), rng.standard_normal((1, 5, 8))
         mask = np.array([True, False, True, True, False])
-        w = Tensor(rng.standard_normal((3, 8)))
+        w = Tensor(rng.standard_normal((1, 3, 8)))
 
         x1, x2 = Tensor(xq, requires_grad=True), Tensor(xkv, requires_grad=True)
-        out = block(x1, x2, key_mask=mask)
+        out = block(x1, x2, key_mask=mask[None])
         (out * w).sum().backward()
         fused = {p.name.split(".")[-1]: p.grad for p in block.parameters()}
         for p in block.parameters():
@@ -271,8 +303,8 @@ class TestGroupedAttention:
     def test_one_group_equals_plain_self_attention(self):
         rng = np.random.default_rng(30)
         block = MultiHeadAttention(AttentionConfig(8, 2), rng, np.float64)
-        x = Tensor(rng.standard_normal((7, 8)))
-        np.testing.assert_allclose(block(x, x, groups=np.zeros(7, int)).data,
+        x = Tensor(rng.standard_normal((1, 7, 8)))
+        np.testing.assert_allclose(block(x, x, groups=np.zeros((1, 7), int)).data,
                                    block(x, x).data, rtol=0, atol=1e-13)
 
     def test_each_group_attends_alone(self):
@@ -280,33 +312,36 @@ class TestGroupedAttention:
         block = MultiHeadAttention(AttentionConfig(8, 4), rng, np.float64)
         x = rng.standard_normal((12, 8))
         labels = np.array([1, 0, 1, 2, 2, 1, 0, 1, 5, 1, 2, 1])
-        t = Tensor(x)
-        out = block(t, t, groups=labels).data
+        t = Tensor(x[None])
+        out = block(t, t, groups=labels[None]).data[0]
         for g in np.unique(labels):
             rows = np.nonzero(labels == g)[0]
-            alone = Tensor(x[rows])
-            np.testing.assert_allclose(out[rows], block(alone, alone).data, rtol=0, atol=1e-13)
+            alone = Tensor(x[None, rows])
+            np.testing.assert_allclose(out[rows], block(alone, alone).data[0],
+                                       rtol=0, atol=1e-13)
 
     def test_groups_need_self_attention(self):
         rng = np.random.default_rng(32)
         block = MultiHeadAttention(AttentionConfig(4, 2), rng, np.float64)
-        x, y = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((5, 4)))
-        labels = np.zeros(5, int)
+        x, y = Tensor(rng.standard_normal((1, 5, 4))), Tensor(rng.standard_normal((1, 5, 4)))
+        labels = np.zeros((1, 5), int)
         with pytest.raises(ContractError):
             block(x, y, groups=labels)
         with pytest.raises(ContractError):
-            block(x, x, key_mask=np.ones(5, bool), groups=labels)
+            block(x, x, key_mask=np.ones((1, 5), bool), groups=labels)
         with pytest.raises(ContractError):
-            block(x, x, groups=np.zeros(4, int))
+            block(x, x, groups=np.zeros((1, 4), int))
+        with pytest.raises(ContractError):
+            block(x, x, groups=np.zeros(5, int))
 
     def test_grouped_layer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(33)
         layer = TransformerEncoderLayer(AttentionConfig(4, 2), rng, np.float64)
-        pos = Tensor(rng.standard_normal((9, 4)))
-        w = Tensor(rng.standard_normal((9, 4)))
-        labels = np.array([0, 2, 2, 0, 2, 3, 2, 3, 6])
+        pos = Tensor(rng.standard_normal((1, 9, 4)))
+        w = Tensor(rng.standard_normal((1, 9, 4)))
+        labels = np.array([[0, 2, 2, 0, 2, 3, 2, 3, 6]])
         err = grad_check(lambda x: (layer(x, pos=pos, groups=labels) * w).sum(),
-                         Tensor(rng.standard_normal((9, 4))))
+                         Tensor(rng.standard_normal((1, 9, 4))))
         assert err < 1e-4
 
 
@@ -315,18 +350,18 @@ class TestEncoderLayer:
         rng = np.random.default_rng(10)
         layer = TransformerEncoderLayer(AttentionConfig(8, 2), rng, np.float64)
         layer.zero_output_projections()
-        x = Tensor(rng.standard_normal((6, 8)))
-        p = Tensor(rng.standard_normal((6, 8)))
+        x = Tensor(rng.standard_normal((1, 6, 8)))
+        p = Tensor(rng.standard_normal((1, 6, 8)))
         np.testing.assert_allclose(layer(x, pos=p).data, x.data + p.data)
         np.testing.assert_allclose(layer(x).data, x.data)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         layer = TransformerEncoderLayer(AttentionConfig(4, 2), rng, np.float64)
-        pos = Tensor(rng.standard_normal((4, 4)))
-        w = Tensor(rng.standard_normal((4, 4)))
+        pos = Tensor(rng.standard_normal((1, 4, 4)))
+        w = Tensor(rng.standard_normal((1, 4, 4)))
         err = grad_check(lambda x: (layer(x, pos=pos) * w).sum(),
-                         Tensor(rng.standard_normal((4, 4))))
+                         Tensor(rng.standard_normal((1, 4, 4))))
         assert err < 1e-4
 
 
@@ -335,27 +370,27 @@ class TestDecoderLayer:
         rng = np.random.default_rng(12)
         layer = TransformerDecoderLayer(AttentionConfig(8, 2), rng, np.float64)
         layer.zero_output_projections()
-        x = Tensor(rng.standard_normal((5, 8)))
-        memory = Tensor(rng.standard_normal((3, 8)))
+        x = Tensor(rng.standard_normal((1, 5, 8)))
+        memory = Tensor(rng.standard_normal((1, 3, 8)))
         np.testing.assert_allclose(layer(x, memory).data, x.data)
 
     def test_single_key_adds_shared_vector(self):
         rng = np.random.default_rng(13)
         layer = TransformerDecoderLayer(AttentionConfig(6, 2), rng, np.float64)
         layer.mlp.zero_output_projection()  # isolate the attention residual
-        x = Tensor(rng.standard_normal((4, 6)))
-        memory = Tensor(rng.standard_normal((1, 6)))
-        delta = layer(x, memory).data - x.data
+        x = Tensor(rng.standard_normal((1, 4, 6)))
+        memory = Tensor(rng.standard_normal((1, 1, 6)))
+        delta = (layer(x, memory).data - x.data)[0]
         for r in range(1, 4):
             np.testing.assert_allclose(delta[r], delta[0], atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
         layer = TransformerDecoderLayer(AttentionConfig(4, 2), rng, np.float64)
-        memory = Tensor(rng.standard_normal((3, 4)))
-        w = Tensor(rng.standard_normal((5, 4)))
+        memory = Tensor(rng.standard_normal((1, 3, 4)))
+        w = Tensor(rng.standard_normal((1, 5, 4)))
         err = grad_check(lambda x: (layer(x, memory) * w).sum(),
-                         Tensor(rng.standard_normal((5, 4))))
+                         Tensor(rng.standard_normal((1, 5, 4))))
         assert err < 1e-4
 
 
@@ -366,7 +401,7 @@ class TestPositionalEncodings:
         pos.weight.data[:] = 0
         pos.weight.data[:, 1, 1] = 1
         pos.bias.data[:] = 0
-        f = Tensor(rng.standard_normal((3, 5, 6)))
+        f = Tensor(rng.standard_normal((1, 3, 5, 6)))
         np.testing.assert_allclose(pos(f).data, f.data)
 
     def test_sum_preserving_kernel_constant_interior(self):
@@ -374,8 +409,8 @@ class TestPositionalEncodings:
         pos = PositionalConv2d(2, rng, np.float64)
         pos.weight.data[:] = 1.0 / 9.0
         pos.bias.data[:] = 0
-        f = Tensor(np.full((2, 6, 6), 4.0))
-        out = pos(f).data
+        f = Tensor(np.full((1, 2, 6, 6), 4.0))
+        out = pos(f).data[0]
         np.testing.assert_allclose(out[:, 1:-1, 1:-1], 4.0)
         # zero-padded border rows see fewer taps
         assert np.all(out[:, 0, :] < 4.0)
@@ -385,7 +420,7 @@ class TestPositionalEncodings:
         pos = PositionalConv2d(2, rng, np.float64)
         pos.weight.data[:] = 0
         pos.bias.data[:] = np.array([1.5, -2.0])
-        out = pos(Tensor(rng.standard_normal((2, 4, 4)))).data
+        out = pos(Tensor(rng.standard_normal((1, 2, 4, 4)))).data[0]
         np.testing.assert_allclose(out[0], 1.5)
         np.testing.assert_allclose(out[1], -2.0)
 
@@ -395,7 +430,7 @@ class TestPositionalEncodings:
         pos.weight.data[:] = 0
         pos.weight.data[:, 1] = 1
         pos.bias.data[:] = 0
-        v = Tensor(rng.standard_normal((5, 4)))
+        v = Tensor(rng.standard_normal((1, 5, 4)))
         np.testing.assert_allclose(pos(v).data, v.data)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
@@ -405,20 +440,21 @@ class TestPositionalEncodings:
         rng = np.random.default_rng(30 + n)
         pos = PositionalConv1d(3, rng, np.float64)
         pos.bias.data[:] = rng.standard_normal(3)
-        x = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, n, 3)), requires_grad=True)
         out = pos(x)
-        g = rng.standard_normal((n, 3))
+        g = rng.standard_normal((1, n, 3))
         (out * Tensor(g)).sum().backward()
 
         w = pos.weight.data
-        xp = np.concatenate([np.zeros((1, 3)), x.data, np.zeros((1, 3))])
+        g = g[0]
+        xp = np.concatenate([np.zeros((1, 3)), x.data[0], np.zeros((1, 3))])
         want = pos.bias.data + sum(w[:, t] * xp[t:t + n] for t in range(3))
         dxp = np.zeros_like(xp)
         for t in range(3):
             dxp[t:t + n] += w[:, t] * g
         dw = np.stack([(g * xp[t:t + n]).sum(axis=0) for t in range(3)], axis=1)
-        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(x.grad, dxp[1:-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad[0], dxp[1:-1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(pos.weight.grad, dw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pos.bias.grad, g.sum(axis=0), rtol=0, atol=1e-12)
         assert pos.weight.shape == (3, 3)
@@ -426,5 +462,5 @@ class TestPositionalEncodings:
     def test_single_token_sequence(self):
         rng = np.random.default_rng(19)
         pos = PositionalConv1d(3, rng, np.float64)
-        out = pos(Tensor(rng.standard_normal((1, 3))))
-        assert out.shape == (1, 3)
+        out = pos(Tensor(rng.standard_normal((1, 1, 3))))
+        assert out.shape == (1, 1, 3)

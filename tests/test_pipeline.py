@@ -261,6 +261,29 @@ class TestTrain:
         assert val_log[0] == "epoch,oa_hard,oa_soft"
 
 
+    def test_logs_written_atomically(self, tmp_path, monkeypatch):
+        """The logs hold exactly the returned rows and no temp file is left;
+        a write that fails before its rename keeps the previous file whole."""
+        cfg = TrainConfig(epochs=2, batch=2, seed=0, val_fraction=0.25)
+        result = train(_tiny_set(), _sparse_labels(), _tiny_model(), cfg, out_dir=tmp_path)
+        assert (tmp_path / "train_log.csv").read_text() == "iter,lr,loss\n" + "".join(
+            f"{it},{lr!r},{loss!r}\n" for it, lr, loss in result.train_rows)
+        assert (tmp_path / "val_log.csv").read_text() == "epoch,oa_hard,oa_soft\n" + "".join(
+            f"{e},{h!r},{s!r}\n" for e, h, s in result.val_rows)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv", "val_log.csv"]
+
+        before = (tmp_path / "train_log.csv").read_text()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("hsiseg.pipeline.os.replace", failing_replace)
+        with pytest.raises(OSError):
+            train(_tiny_set(), _sparse_labels(), _tiny_model(), cfg, out_dir=tmp_path)
+        assert (tmp_path / "train_log.csv").read_text() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestInference:
     def test_probabilities_and_argmax_agree(self):
         model = _tiny_model()
