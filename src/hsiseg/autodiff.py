@@ -13,12 +13,11 @@ verification requires float64.
 from __future__ import annotations
 
 import math
-import struct
 import threading
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, GradCheckError, SizeError
+from .errors import ConfigError, ContractError, GradCheckError
 
 _tape_state = threading.local()
 
@@ -280,15 +279,6 @@ def relu(a):
         _accumulate(a, g * (a.data > 0))
 
     return Tensor._from_op(out, (a,), "relu", bw)
-
-
-def tanh(a):
-    out = np.tanh(a.data)
-
-    def bw(g):
-        _accumulate(a, g * (1.0 - out * out))
-
-    return Tensor._from_op(out, (a,), "tanh", bw)
 
 
 def exp(a):
@@ -778,56 +768,3 @@ def grad_check(f, xs, eps=1e-5):
                 worst = max(worst, err)
     return worst
 
-
-# -- checkpoint format ----------------------------------------------------------------------------
-
-CKPT_MAGIC = b"CKPT"
-
-
-def save_checkpoint(named_params, path):
-    """Write (name, tensor) pairs: magic, count, then per-entry
-    name length / name bytes / rank / extents / float32 payload, all little-endian."""
-    items = [(name, t.data if isinstance(t, Tensor) else np.asarray(t)) for name, t in named_params]
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            nb = name.encode("utf-8")
-            a = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", a.ndim))
-            if a.ndim:
-                fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            fh.write(a.tobytes())
-
-
-def load_checkpoint(path):
-    """Read a checkpoint back into an ordered dict of name -> float32 array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}")
-    pos = 4
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise SizeError("truncated checkpoint")
-        chunk = blob[pos:pos + n]
-        pos += n
-        return chunk
-
-    (count,) = struct.unpack("<I", take(4))
-    out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape)
-        out[name] = arr.copy()
-    if pos != len(blob):
-        raise SizeError("trailing bytes after checkpoint payload")
-    return out

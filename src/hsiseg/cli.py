@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pipeline, trispec
 from .cluster import run_clustering
-from .config import DEFAULTS, Config, describe_defaults, dump_config, load_config
+from .config import Config, describe_defaults, dump_config, load_config
 from .errors import ConfigError
 from .formats import (
     LabelMap,
@@ -30,6 +30,7 @@ from .formats import (
     save_class_map,
     save_cube,
     save_labels,
+    write_atomic,
     write_class_ppm,
     write_ppm,
 )
@@ -49,7 +50,6 @@ def model_from_config(cfg: Config, num_classes, seed=0) -> DualContextNet:
         iterations=cfg.get_int("dcm.T"),
         heads=cfg.get_int("dcm.heads"),
         mlp_ratio=cfg.get_int("dcm.mlp_ratio"),
-        activation=cfg.get("dcm.activation"),
         use_input=cfg.get_bool("dcm.use_F"),
         use_regional=cfg.get_bool("dcm.use_RAC"),
         use_global=cfg.get_bool("dcm.use_GAC"),
@@ -163,8 +163,7 @@ def _cmd_eval(args):
     pred = load_class_map(args.pred)
     truth = load_labels(args.truth)
     metrics = pipeline.evaluate(pred, truth)
-    with open(args.report, "w") as fh:
-        json.dump(metrics.to_dict(), fh, indent=2)
+    write_atomic(args.report, json.dumps(metrics.to_dict(), indent=2))
     kappa = "undefined" if metrics.kappa_undefined else f"{metrics.kappa:.6f}"
     print(f"OA {metrics.oa:.6f}  AA {metrics.aa:.6f}  kappa {kappa}")
     return 0
@@ -174,15 +173,14 @@ def _cmd_areas(args):
     image = read_ppm(args.image)
     if args.checkpoint:
         model, cfg = _load_model(args.checkpoint)
-        num_areas = args.areas or cfg.get_int("dcm.Z")
-        iters = args.iters or cfg.get_int("dcm.T")
         features = model.features(image).detach()
         scale = 4
     else:
-        num_areas = args.areas or int(DEFAULTS["dcm.Z"][0])
-        iters = args.iters or int(DEFAULTS["dcm.T"][0])
+        cfg = Config()
         features = image[None].astype(np.float64) / 255.0
         scale = 1
+    num_areas = args.areas if args.areas is not None else cfg.get_int("dcm.Z")
+    iters = args.iters if args.iters is not None else cfg.get_int("dcm.T")
     assignment = run_clustering(features, num_areas, iters)
     grid = assignment.label_grid()[0]
     full = np.kron(grid, np.ones((scale, scale), dtype=grid.dtype))

@@ -7,6 +7,7 @@ has a documented default below, which is also what the CLI help prints.
 from __future__ import annotations
 
 from .errors import ConfigError
+from .formats import write_atomic
 
 # key -> (default string, description)
 DEFAULTS = {
@@ -20,7 +21,6 @@ DEFAULTS = {
     "dcm.T": ("5", "clustering iterations"),
     "dcm.heads": ("2", "attention heads"),
     "dcm.mlp_ratio": ("2", "MLP expansion factor"),
-    "dcm.activation": ("relu", "MLP activation (relu or tanh)"),
     "dcm.use_F": ("true", "concatenate the raw feature stream"),
     "dcm.use_RAC": ("true", "run the per-area regional encoder"),
     "dcm.use_GAC": ("true", "run the descriptor/global branch"),
@@ -104,9 +104,7 @@ def load_config(path) -> Config:
 
 
 def dump_config(values, path):
-    with open(path, "w") as fh:
-        for key in sorted(values):
-            fh.write(f"{key} = {values[key]}\n")
+    write_atomic(path, "".join(f"{key} = {values[key]}\n" for key in sorted(values)))
 
 
 def describe_defaults():

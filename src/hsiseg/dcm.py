@@ -35,12 +35,12 @@ class DualContextModule:
 
     def __init__(self, channels, num_areas, iterations=5, heads=2, mlp_ratio=2,
                  use_input=True, use_regional=True, use_global=True,
-                 activation="relu", rng=None, dtype=np.float32, prefix="context"):
+                 rng=None, dtype=np.float32, prefix="context"):
         if not (use_input or use_regional or use_global):
             raise ConfigError("at least one context stream must be enabled")
         if rng is None:
             rng = np.random.default_rng(0)
-        cfg = AttentionConfig(channels, heads, mlp_ratio, activation)
+        cfg = AttentionConfig(channels, heads, mlp_ratio)
         self.attn_cfg = cfg
         self.channels = channels
         self.num_areas = num_areas

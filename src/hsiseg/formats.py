@@ -1,4 +1,4 @@
-"""On-disk artifact formats.
+"""On-disk artifact formats, and the one place that writes files.
 
 Four tiny magic-tagged little-endian binary layouts plus binary PPM:
 
@@ -6,15 +6,20 @@ Four tiny magic-tagged little-endian binary layouts plus binary PPM:
         of H rows of W float32 values (band-sequential, wavelength ascending)
   LBL1  label map            header (H, W) u32, then H*W uint16 (0 = unlabeled)
   PRB1  probability map      header (C, H, W) u32, then C planes of float32
+  CKPT  named float32 arrays count u32, then per entry: name length u32, UTF-8
+        name, rank u32, rank extents u32, float32 values
   P6    portable pixmap      text header, maxval 255, interleaved RGB bytes
 
 Every format round-trips bit-exactly. Class maps are stored as LBL1 and can
 additionally be rendered through a fixed golden-angle palette for inspection.
+Every artifact, text ones included, is written through ``write_atomic``.
 """
 
 from __future__ import annotations
 
 import colorsys
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +30,7 @@ from .errors import ContractError, DataError, FormatError, SizeError
 CUBE_MAGIC = b"HSC1"
 LABEL_MAGIC = b"LBL1"
 PROB_MAGIC = b"PRB1"
+CKPT_MAGIC = b"CKPT"
 
 
 # -- domain types ------------------------------------------------------------
@@ -151,6 +157,49 @@ class ProbMap:
         return ClassMap(self.values.argmax(axis=0) + 1)
 
 
+# -- writing and framed reading -----------------------------------------------
+
+
+def write_atomic(path, data):
+    """Write bytes or text to ``<path>.tmp`` beside ``path``, then rename it
+    into place, so that an interrupted run never leaves a partial file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _framed(magic, header, payload):
+    """Magic, u32 header fields, then the array's bytes as stored."""
+    return magic + struct.pack(f"<{len(header)}I", *header) + payload.tobytes()
+
+
+def _read_framed(path, magic, what, fields, payload_size=None):
+    """Read a file of ``magic``, ``fields`` u32 header values and a payload.
+
+    ``payload_size(*header)`` gives the byte count the header implies (and may
+    reject the header); the payload must fill the rest of the file exactly.
+    Without it the payload is simply the rest of the file.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise FormatError(f"bad {what} magic {blob[:4]!r}")
+    start = 4 + 4 * fields
+    if len(blob) < start:
+        raise SizeError(f"{what} header truncated")
+    header = struct.unpack(f"<{fields}I", blob[4:start])
+    if payload_size is not None:
+        expected = payload_size(*header)
+        if len(blob) - start != expected:
+            raise SizeError(f"{what} payload is {len(blob) - start} bytes, expected {expected}")
+    return header, memoryview(blob)[start:]
+
+
 # -- cube I/O -----------------------------------------------------------------
 
 
@@ -158,56 +207,33 @@ def save_cube(cube: HsiCube, path):
     v = np.asarray(cube.values, dtype="<f4")
     if v.ndim != 3 or v.shape[0] < 3:
         raise DataError(f"refusing to write invalid cube of shape {v.shape}")
-    with open(path, "wb") as fh:
-        fh.write(CUBE_MAGIC)
-        fh.write(struct.pack("<4I", v.shape[1], v.shape[2], v.shape[0], 0))
-        fh.write(np.ascontiguousarray(v).tobytes())
+    write_atomic(path, _framed(CUBE_MAGIC, (v.shape[1], v.shape[2], v.shape[0], 0), v))
 
 
-def load_cube(path) -> HsiCube:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CUBE_MAGIC:
-        raise FormatError(f"bad cube magic {blob[:4]!r}")
-    if len(blob) < 20:
-        raise SizeError("cube header truncated")
-    h, w, bands, code = struct.unpack("<4I", blob[4:20])
+def _cube_payload_size(h, w, bands, code):
     if code != 0:
         raise FormatError(f"unsupported cube dtype code {code}")
     if bands < 3 or h < 1 or w < 1:
         raise FormatError(f"cube header declares invalid extents {(h, w, bands)}")
-    expected = 20 + 4 * h * w * bands
-    if len(blob) != expected:
-        raise SizeError(f"cube payload is {len(blob) - 20} bytes, expected {expected - 20}")
-    values = np.frombuffer(blob, dtype="<f4", offset=20).reshape(bands, h, w)
-    if not np.all(np.isfinite(values)):
-        raise DataError("cube payload contains non-finite values")
-    return HsiCube(values.copy())
+    return 4 * h * w * bands
+
+
+def load_cube(path) -> HsiCube:
+    (h, w, bands, _), payload = _read_framed(path, CUBE_MAGIC, "cube", 4, _cube_payload_size)
+    return HsiCube(np.frombuffer(payload, dtype="<f4").reshape(bands, h, w).copy())
 
 
 # -- label map I/O ----------------------------------------------------------------
 
 
 def save_labels(labels: LabelMap, path):
-    with open(path, "wb") as fh:
-        fh.write(LABEL_MAGIC)
-        fh.write(struct.pack("<2I", labels.height, labels.width))
-        fh.write(np.ascontiguousarray(labels.labels, dtype="<u2").tobytes())
+    write_atomic(path, _framed(LABEL_MAGIC, labels.labels.shape,
+                               labels.labels.astype("<u2", copy=False)))
 
 
 def load_labels(path) -> LabelMap:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != LABEL_MAGIC:
-        raise FormatError(f"bad label magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise SizeError("label header truncated")
-    h, w = struct.unpack("<2I", blob[4:12])
-    expected = 12 + 2 * h * w
-    if len(blob) != expected:
-        raise SizeError(f"label payload is {len(blob) - 12} bytes, expected {expected - 12}")
-    labels = np.frombuffer(blob, dtype="<u2", offset=12).reshape(h, w)
-    return LabelMap(labels.copy())
+    (h, w), payload = _read_framed(path, LABEL_MAGIC, "label", 2, lambda h, w: 2 * h * w)
+    return LabelMap(np.frombuffer(payload, dtype="<u2").reshape(h, w).copy())
 
 
 def save_class_map(cm: ClassMap, path):
@@ -225,25 +251,13 @@ def load_class_map(path) -> ClassMap:
 
 
 def save_probmap(p: ProbMap, path):
-    with open(path, "wb") as fh:
-        fh.write(PROB_MAGIC)
-        fh.write(struct.pack("<3I", p.classes, p.height, p.width))
-        fh.write(np.ascontiguousarray(p.values, dtype="<f4").tobytes())
+    write_atomic(path, _framed(PROB_MAGIC, p.values.shape, p.values.astype("<f4", copy=False)))
 
 
 def load_probmap(path) -> ProbMap:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != PROB_MAGIC:
-        raise FormatError(f"bad probability magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise SizeError("probability header truncated")
-    c, h, w = struct.unpack("<3I", blob[4:16])
-    expected = 16 + 4 * c * h * w
-    if len(blob) != expected:
-        raise SizeError(f"probability payload is {len(blob) - 16} bytes, expected {expected - 16}")
-    values = np.frombuffer(blob, dtype="<f4", offset=16).reshape(c, h, w)
-    return ProbMap(values.copy())
+    (c, h, w), payload = _read_framed(path, PROB_MAGIC, "probability", 3,
+                                      lambda c, h, w: 4 * c * h * w)
+    return ProbMap(np.frombuffer(payload, dtype="<f4").reshape(c, h, w).copy())
 
 
 # -- portable pixmap ---------------------------------------------------------------------
@@ -257,9 +271,8 @@ def write_ppm(image, path):
     if img.dtype != np.uint8:
         raise ContractError(f"write_ppm needs uint8 samples, got {img.dtype}")
     _, h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(np.ascontiguousarray(np.moveaxis(img, 0, -1)).tobytes())
+    write_atomic(path, b"P6\n%d %d\n255\n" % (w, h)
+                 + np.ascontiguousarray(np.moveaxis(img, 0, -1)).tobytes())
 
 
 def _ppm_tokens(blob):
@@ -330,3 +343,47 @@ def labels_to_image(labels):
 
 def write_class_ppm(cm: ClassMap, path):
     write_ppm(labels_to_image(cm.labels), path)
+
+
+# -- checkpoint I/O ---------------------------------------------------------------------------
+
+
+def save_checkpoint(named_arrays, path):
+    """Write (name, array) pairs: magic, count, then per entry the name length,
+    name bytes, rank, extents and float32 payload, all little-endian."""
+    items = list(named_arrays)
+    parts = [CKPT_MAGIC, struct.pack("<I", len(items))]
+    for name, arr in items:
+        nb = name.encode("utf-8")
+        a = np.asarray(arr, dtype="<f4")
+        parts += [struct.pack("<I", len(nb)), nb,
+                  struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape), a.tobytes()]
+    write_atomic(path, b"".join(parts))
+
+
+def load_checkpoint(path):
+    """Read a checkpoint back into an ordered dict of name -> float32 array."""
+    _, blob = _read_framed(path, CKPT_MAGIC, "checkpoint", 0)
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(blob):
+            raise SizeError("truncated checkpoint")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u32s(k):
+        return struct.unpack(f"<{k}I", take(4 * k))
+
+    (count,) = u32s(1)
+    out = {}
+    for _ in range(count):
+        (nlen,) = u32s(1)
+        name = bytes(take(nlen)).decode("utf-8")
+        (rank,) = u32s(1)
+        shape = u32s(rank)
+        out[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
+    if pos != len(blob):
+        raise SizeError("trailing bytes after checkpoint payload")
+    return out

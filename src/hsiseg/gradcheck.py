@@ -60,7 +60,6 @@ def primitive_programs(rng):
     yield "concat", (lambda x: (ad.concat([x, c34], axis=0) * wcat).sum()), Tensor(x34.copy())
 
     yield "relu", (lambda x: (ad.relu(x) * w34).sum()), Tensor(_kink_free(rng, (3, 4)))
-    yield "tanh", (lambda x: (ad.tanh(x) * w34).sum()), Tensor(x34.copy())
     yield "exp", (lambda x: (ad.exp(x) * w34).sum()), Tensor(rng.uniform(-1, 1, (3, 4)))
 
     yield "softmax", (lambda x: (ad.softmax(x, axis=-1) * w34).sum()), Tensor(x34.copy())

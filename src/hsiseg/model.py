@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .dcm import DualContextModule
 from .errors import ConfigError, ContractError
-from .formats import LabelMap
+from .formats import LabelMap, load_checkpoint, save_checkpoint
 from .nn import uniform_init
 
 DESK_WIDTHS = (16, 32, 64, 64)
@@ -107,7 +107,7 @@ class DualContextNet:
 
     def __init__(self, num_classes, backbone=None, channels=32, num_areas=16,
                  iterations=5, heads=2, mlp_ratio=2, use_input=True,
-                 use_regional=True, use_global=True, activation="relu",
+                 use_regional=True, use_global=True,
                  input_mean=0.5, input_std=0.25, seed=0, dtype=np.float32):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {num_classes}")
@@ -126,7 +126,7 @@ class DualContextNet:
         self.context = DualContextModule(
             channels, num_areas, iterations=iterations, heads=heads,
             mlp_ratio=mlp_ratio, use_input=use_input, use_regional=use_regional,
-            use_global=use_global, activation=activation, rng=rng, dtype=self.dtype)
+            use_global=use_global, rng=rng, dtype=self.dtype)
         self.head = Conv3x3(self.context.out_channels, num_classes, rng, self.dtype,
                             "head", "head")
         self.aux_head = Conv3x3(cfg.widths[2], num_classes, rng, self.dtype,
@@ -254,7 +254,6 @@ class DualContextNet:
             "dcm.T": str(ctx.iterations),
             "dcm.heads": str(ctx.attn_cfg.heads),
             "dcm.mlp_ratio": str(ctx.attn_cfg.mlp_ratio),
-            "dcm.activation": ctx.attn_cfg.activation,
             "dcm.use_F": "true" if ctx.use_input else "false",
             "dcm.use_RAC": "true" if ctx.use_regional else "false",
             "dcm.use_GAC": "true" if ctx.use_global else "false",
@@ -263,13 +262,13 @@ class DualContextNet:
         }
 
     def save(self, path):
-        ad.save_checkpoint(self.named_parameters(), path)
+        save_checkpoint([(name, p.data) for name, p in self.named_parameters()], path)
 
     def load(self, path, strict=True):
         """Load parameters by name. ``strict=False`` fills whatever names the
         file provides (e.g. an externally converted backbone) and returns the
         names that stayed at their initialization."""
-        loaded = ad.load_checkpoint(path)
+        loaded = load_checkpoint(path)
         missing = []
         for name, p in self.named_parameters():
             if name not in loaded:

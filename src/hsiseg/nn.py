@@ -30,7 +30,6 @@ class AttentionConfig:
     channels: int
     heads: int
     mlp_ratio: int = 2
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.channels < 1 or self.heads < 1 or self.mlp_ratio < 1:
@@ -39,8 +38,6 @@ class AttentionConfig:
                 f"{self.channels}, {self.heads} and {self.mlp_ratio}")
         if self.channels % self.heads != 0:
             raise ConfigError(f"{self.heads} heads do not divide {self.channels} channels")
-        if self.activation not in ("relu", "tanh"):
-            raise ConfigError(f"unsupported MLP activation {self.activation!r}")
 
     @property
     def head_dim(self):
@@ -183,11 +180,10 @@ class MultiHeadAttention:
 
 
 class Mlp:
-    """linear(C -> ratio*C), activation, linear(-> C)."""
+    """linear(C -> ratio*C), ReLU, linear(-> C)."""
 
     def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="mlp"):
         c, hidden = cfg.channels, cfg.mlp_ratio * cfg.channels
-        self.activation = cfg.activation
         self.w1 = Parameter(uniform_init(rng, (c, hidden), c, dtype), name=f"{prefix}.w1")
         self.b1 = Parameter(np.zeros(hidden, dtype), name=f"{prefix}.b1")
         self.w2 = Parameter(uniform_init(rng, (hidden, c), hidden, dtype), name=f"{prefix}.w2")
@@ -195,8 +191,7 @@ class Mlp:
 
     def __call__(self, x):
         h = ad.matmul(x, self.w1) + self.b1
-        h = ad.relu(h) if self.activation == "relu" else ad.tanh(h)
-        return ad.matmul(h, self.w2) + self.b2
+        return ad.matmul(ad.relu(h), self.w2) + self.b2
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]

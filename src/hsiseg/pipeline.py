@@ -18,6 +18,7 @@ from .formats import (
     ProbMap,
     save_class_map,
     save_probmap,
+    write_atomic,
     write_class_ppm,
 )
 from .trispec import TriSpectralSet
@@ -45,6 +46,11 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (math.isfinite(self.poly_power) and self.poly_power >= 0):
             raise ConfigError(f"poly_power must be finite and >= 0, got {self.poly_power}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.head_lr_multiplier) and self.head_lr_multiplier > 0):
+            raise ConfigError(
+                f"head_lr_multiplier must be finite and positive, got {self.head_lr_multiplier}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
@@ -136,24 +142,11 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "train_log.csv"), "iter,lr,loss\n" + "".join(
+        write_atomic(os.path.join(out_dir, "train_log.csv"), "iter,lr,loss\n" + "".join(
             f"{it},{lr!r},{loss!r}\n" for it, lr, loss in train_rows))
-        _write_atomic(os.path.join(out_dir, "val_log.csv"), "epoch,oa_hard,oa_soft\n" + "".join(
+        write_atomic(os.path.join(out_dir, "val_log.csv"), "epoch,oa_hard,oa_soft\n" + "".join(
             f"{epoch},{oa_hard!r},{oa_soft!r}\n" for epoch, oa_hard, oa_soft in val_rows))
     return TrainResult(model, train_rows, val_rows, holdout)
-
-
-def _write_atomic(path, text):
-    """Write ``text`` to a temp file next to ``path``, then rename it into place,
-    so that an interrupted run never leaves a partial file."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def predict_image(model, image) -> ProbMap:
@@ -259,6 +252,5 @@ def run_inference_set(model, tri_set: TriSpectralSet, out_dir=None, truth=None,
         for name, fused in (("hard", hard), ("soft", soft)):
             save_class_map(fused, os.path.join(out_dir, f"vote_{name}.lbl"))
             write_class_ppm(fused, os.path.join(out_dir, f"vote_{name}.ppm"))
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
+        write_atomic(os.path.join(out_dir, "report.json"), json.dumps(report, indent=2))
     return probs, hard, soft, report

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, FormatError
-from .formats import HsiCube, read_ppm, write_ppm
+from .formats import HsiCube, read_ppm, write_atomic, write_ppm
 
 
 @dataclass
@@ -146,8 +146,7 @@ def write_set(ts: TriSpectralSet, out_dir):
     for i, (img, t) in enumerate(zip(ts.images, ts.manifest)):
         write_ppm(img, os.path.join(out_dir, f"img_{i}.ppm"))
         lines.append(f"{i} {t.g1} {t.g2} {t.g3}\n")
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.writelines(lines)
+    write_atomic(os.path.join(out_dir, "manifest.txt"), "".join(lines))
 
 
 def load_set(in_dir) -> TriSpectralSet:

@@ -1,4 +1,4 @@
-"""Engine-level tests: forward examples, backward rules, optimizer, checkpoints."""
+"""Engine-level tests: forward examples, backward rules, optimizer."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from hsiseg.autodiff import (
     Parameter,
     Tensor,
     grad_check,
-    load_checkpoint,
     poly_lr,
-    save_checkpoint,
 )
-from hsiseg.errors import ConfigError, ContractError, FormatError, SizeError
+from hsiseg.errors import ConfigError, ContractError
 
 
 class TestForwardExamples:
@@ -481,32 +479,6 @@ class TestPrimitiveGradients:
             for name, f, xs in primitive_programs(rng):
                 err = grad_check(f, xs)
                 assert err < 1e-4, f"{name} at seed {seed}: error {err:.2e}"
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        named = [("a.weight", Tensor(rng.standard_normal((3, 2)).astype(np.float32))),
-                 ("b.bias", Tensor(rng.standard_normal(4).astype(np.float32)))]
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(named, path)
-        loaded = load_checkpoint(path)
-        assert list(loaded) == ["a.weight", "b.bias"]
-        for name, t in named:
-            np.testing.assert_array_equal(loaded[name], t.data)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        path.write_bytes(b"NOPE....")
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint([("w", Tensor(np.ones(5, np.float32)))], path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(SizeError):
-            load_checkpoint(path)
 
 
 class TestNoGrad:

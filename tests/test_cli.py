@@ -94,7 +94,8 @@ class TestConfigFile:
         assert cfg.get_int("dcm.T") == 5
         assert cfg.get_bool("dcm.use_GAC") is True
 
-    @pytest.mark.parametrize("key", ["trispec.G", "trispec.wavelength_descending"])
+    @pytest.mark.parametrize("key", ["trispec.G", "trispec.wavelength_descending",
+                                     "dcm.activation"])
     def test_keys_no_code_reads_are_rejected(self, key):
         with pytest.raises(ConfigError):
             parse_config(f"{key} = 15")
@@ -162,6 +163,9 @@ class TestTrainPredictVoteEval:
         "train.lr = nan", "train.lr = inf", "train.lr = 0", "train.lr = -0.001",
         "train.momentum = 1", "train.momentum = -0.5",
         "train.poly_power = -1", "train.poly_power = nan",
+        "train.weight_decay = nan", "train.weight_decay = -1",
+        "train.head_lr_multiplier = nan", "train.head_lr_multiplier = 0",
+        "train.head_lr_multiplier = -5",
         "model.input_std = 0", "model.input_std = -0.25", "model.input_std = inf",
     ])
     def test_out_of_range_config_fails_cleanly(self, scene, tmp_path, capsys, override):
@@ -198,6 +202,15 @@ class TestAreas:
         assert labels.labels.min() >= 1
         overlay = read_ppm(out / "areas.ppm")
         assert overlay.shape == (3, 16, 16)
+
+    @pytest.mark.parametrize("zeros", [["--areas", "0"], ["--iters", "0"],
+                                       ["--areas", "0", "--iters", "0"]])
+    def test_zero_counts_rejected(self, scene, tmp_path, capsys, zeros):
+        out = tmp_path / "areas"
+        assert dispatch(["areas", "--image", str(scene / "set" / "img_0.ppm"),
+                         *zeros, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_on_model_features(self, scene, trained, tmp_path):
         out = tmp_path / "areas_feat"

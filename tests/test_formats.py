@@ -1,8 +1,12 @@
-"""Round-trip and error-path tests for the binary artifact formats."""
+"""Round-trip, layout, error-path and atomic-write tests for the artifact formats."""
+
+import os
+import struct
 
 import numpy as np
 import pytest
 
+from hsiseg.config import dump_config
 from hsiseg.errors import DataError, FormatError, SizeError
 from hsiseg.formats import (
     CLASS_PALETTE,
@@ -11,15 +15,18 @@ from hsiseg.formats import (
     LabelMap,
     ProbMap,
     labels_to_image,
+    load_checkpoint,
     load_class_map,
     load_cube,
     load_labels,
     load_probmap,
     read_ppm,
+    save_checkpoint,
     save_class_map,
     save_cube,
     save_labels,
     save_probmap,
+    write_atomic,
     write_ppm,
 )
 
@@ -234,6 +241,86 @@ class TestPpm:
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P6\n# made by hand\n2 1\n255\n" + bytes(6))
         assert read_ppm(path).shape == (3, 1, 2)
+
+
+class TestCheckpoint:
+    def test_round_trip(self, tmp_path):
+        rng = np.random.default_rng(8)
+        named = [("a.weight", rng.standard_normal((3, 2)).astype(np.float32)),
+                 ("b.bias", rng.standard_normal(4).astype(np.float32))]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(named, path)
+        loaded = load_checkpoint(path)
+        assert list(loaded) == ["a.weight", "b.bias"]
+        for name, arr in named:
+            np.testing.assert_array_equal(loaded[name], arr)
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"NOPE....")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_truncated(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint([("w", np.ones(5, np.float32))], path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(SizeError):
+            load_checkpoint(path)
+
+    def test_byte_layout(self, tmp_path):
+        """Rank-0, rank-1 and rank-2 entries against a hand-packed layout."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint([("s", np.float32(1.5)),
+                         ("bias", np.array([1, 2, 3], np.float64)),
+                         ("w", np.arange(6, dtype=np.float32).reshape(2, 3))], path)
+        expected = (b"CKPT" + struct.pack("<I", 3)
+                    + struct.pack("<I", 1) + b"s" + struct.pack("<I", 0)
+                    + struct.pack("<f", 1.5)
+                    + struct.pack("<I", 4) + b"bias" + struct.pack("<II", 1, 3)
+                    + struct.pack("<3f", 1, 2, 3)
+                    + struct.pack("<I", 1) + b"w" + struct.pack("<III", 2, 2, 3)
+                    + struct.pack("<6f", 0, 1, 2, 3, 4, 5))
+        assert path.read_bytes() == expected
+        loaded = load_checkpoint(path)
+        assert [a.shape for a in loaded.values()] == [(), (3,), (2, 3)]
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint([("w", np.ones(2, np.float32))], path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(SizeError, match="trailing"):
+            load_checkpoint(path)
+
+
+WRITERS = {
+    "cube": lambda path, v: save_cube(HsiCube(np.full((3, 2, 2), v, np.float32)), path),
+    "labels": lambda path, v: save_labels(LabelMap(np.full((2, 3), v, np.uint16)), path),
+    "probmap": lambda path, v: save_probmap(ProbMap(np.full((2, 2, 2), v, np.float32)), path),
+    "ppm": lambda path, v: write_ppm(np.full((3, 2, 2), v, np.uint8), path),
+    "checkpoint": lambda path, v: save_checkpoint([("w", np.full(3, v, np.float32))], path),
+    "config": lambda path, v: dump_config({"dcm.Z": str(v)}, path),
+    "text": lambda path, v: write_atomic(path, f"report {v}\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
+    """A write whose rename fails leaves the previous file byte-identical
+    and no temp file behind."""
+    path = tmp_path / "artifact"
+    WRITERS[kind](path, 1)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[kind](path, 2)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestPalette:
