@@ -111,6 +111,8 @@ class DualContextNet:
                  input_mean=0.5, input_std=0.25, seed=0, dtype=np.float32):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {num_classes}")
+        if not math.isfinite(input_mean):
+            raise ConfigError(f"input_mean must be finite, got {input_mean}")
         if not (math.isfinite(input_std) and input_std > 0):
             raise ConfigError(f"input_std must be finite and positive, got {input_std}")
         rng = np.random.default_rng(seed)
@@ -227,19 +229,21 @@ class DualContextNet:
         return self.loss(main, aux, labels)
 
     def predict_probabilities(self, image):
-        """Softmax of the main logits of one (3, H, W) image, as a float32
-        (num_classes, H, W) array.
+        """Softmax of the main logits of one (3, H, W) image or a (B, 3, H, W)
+        batch, as a float32 (num_classes, H, W) or (B, num_classes, H, W) array.
 
-        The stride-4 main logits are upsampled x4 and cropped to the image;
-        the auxiliary logits are a training-only loss term and are dropped."""
-        if np.ndim(image) != 3:
-            raise ContractError(f"expected one (3, H, W) image, got {np.shape(image)}")
+        The whole batch runs one forward; its stride-4 main logits are
+        upsampled x4 and cropped to the image, and the softmax runs over the
+        class axis. The auxiliary logits are a training-only loss term and are
+        dropped."""
         with ad.no_grad():
             x, (h, w) = self.prepare_input(image)
             main, _, _ = self.forward_from_tensor(x)
-            dense = ad.bilinear_upsample(main, 4).data[0, :, :h, :w]
-            probs = ad.softmax(Tensor(dense), axis=0)
-        return probs.data.astype(np.float32)
+            dense = ad.bilinear_upsample(main, 4).data[:, :, :h, :w]
+            # the upsample leaves classes innermost; C order gives every image
+            # one block of class planes instead of interleaving the batch
+            probs = ad.softmax(Tensor(dense), axis=1).data.astype(np.float32, order="C")
+        return probs[0] if np.ndim(image) == 3 else probs
 
     # -- persistence -------------------------------------------------------------------
 

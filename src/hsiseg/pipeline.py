@@ -23,6 +23,11 @@ from .formats import (
 )
 from .trispec import TriSpectralSet
 
+# Prediction runs in chunks of about this many pixels: four 32x32 images share
+# one forward, while a 64x64 or larger image runs alone. Larger chunks buy
+# little speed and grow the peak memory of the full-resolution im2col.
+PIXELS_PER_CHUNK = 4 * 32 * 32
+
 
 @dataclass
 class TrainConfig:
@@ -101,6 +106,7 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
         raise ContractError("empty tri-spectral set")
     if labels.labeled_count == 0:
         raise ContractError("training needs at least one labeled pixel")
+    _check_same_shapes([img.shape for img in tri_set.images], "images")
     rng = np.random.default_rng(cfg.seed)
 
     indices = rng.permutation(m)
@@ -109,7 +115,9 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
         n_val = min(m - 1, max(1, round(cfg.val_fraction * m)))
     holdout = sorted(int(i) for i in indices[:n_val])
     held_out = TriSpectralSet([tri_set.images[i] for i in holdout],
-                              [tri_set.manifest[i] for i in holdout])
+                              [tri_set.manifest[i] for i in holdout],
+                              [tri_set.degenerate[i] for i in holdout] if tri_set.degenerate
+                              else [])
     train_idx = np.array(sorted(int(i) for i in indices[n_val:]))
 
     per_epoch = math.ceil(len(train_idx) / cfg.batch)
@@ -149,17 +157,19 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
     return TrainResult(model, train_rows, val_rows, holdout)
 
 
-def predict_image(model, image) -> ProbMap:
-    return ProbMap(model.predict_probabilities(image))
+def predict_image(model, image):
+    """A ProbMap for one (3, H, W) image, or a list of them for a (B, 3, H, W) batch."""
+    probs = model.predict_probabilities(image)
+    return ProbMap(probs) if probs.ndim == 3 else [ProbMap(p) for p in probs]
 
 
 def classify(prob: ProbMap) -> ClassMap:
     return prob.argmax_map()
 
 
-def _check_same_shapes(shapes):
+def _check_same_shapes(shapes, what="maps"):
     if len(set(shapes)) != 1:
-        raise ContractError(f"maps disagree on shape: {sorted(set(shapes))}")
+        raise ContractError(f"{what} disagree on shape: {sorted(set(shapes))}")
 
 
 def hard_vote(maps) -> ClassMap:
@@ -223,21 +233,32 @@ def run_inference_set(model, tri_set: TriSpectralSet, out_dir=None, truth=None,
                       jobs=1):
     """Predict every image, fuse by both voting schemes, optionally score and persist.
 
-    Returns (prob maps, hard-vote map, soft-vote map, report dict). Per-image
-    probability maps and class maps plus both fused maps are written under
-    ``out_dir`` when given; metrics require ``truth``.
+    Images are predicted in chunks of ``max(1, PIXELS_PER_CHUNK // (H * W))``,
+    one batched forward per chunk; ``jobs > 1`` spreads the chunks over a
+    thread pool. Returns (prob maps, hard-vote map, soft-vote map, report
+    dict). The report names the degenerate images. Per-image probability maps
+    and class maps plus both fused maps are written under ``out_dir`` when
+    given; metrics require ``truth``.
     """
     images = tri_set.images
+    if not images:
+        raise ContractError("run_inference_set needs at least one image")
+    _check_same_shapes([img.shape for img in images], "images")
+    h, w = images[0].shape[-2:]
+    size = max(1, PIXELS_PER_CHUNK // (h * w))
+    chunks = [np.stack(images[i:i + size]) for i in range(0, len(images), size)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            probs = list(pool.map(lambda img: predict_image(model, img), images))
+            batches = list(pool.map(lambda chunk: predict_image(model, chunk), chunks))
     else:
-        probs = [predict_image(model, img) for img in images]
+        batches = [predict_image(model, chunk) for chunk in chunks]
+    probs = [p for batch in batches for p in batch]
     class_maps = [classify(p) for p in probs]
     hard = hard_vote(class_maps)
     soft = soft_vote(probs)
 
-    report = {"images": len(images)}
+    report = {"images": len(images),
+              "degenerate": [i for i, flag in enumerate(tri_set.degenerate) if flag]}
     if truth is not None:
         report["hard"] = evaluate(hard, truth).to_dict()
         report["soft"] = evaluate(soft, truth).to_dict()

@@ -167,6 +167,7 @@ class TestTrainPredictVoteEval:
         "train.head_lr_multiplier = nan", "train.head_lr_multiplier = 0",
         "train.head_lr_multiplier = -5",
         "model.input_std = 0", "model.input_std = -0.25", "model.input_std = inf",
+        "model.input_mean = nan", "model.input_mean = inf",
     ])
     def test_out_of_range_config_fails_cleanly(self, scene, tmp_path, capsys, override):
         cfg = tmp_path / "bad.cfg"

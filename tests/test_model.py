@@ -357,10 +357,24 @@ class TestBatchedTraining:
             probs = model.predict_probabilities(rng.integers(0, 256, (3, h, w)).astype(np.uint8))
             np.testing.assert_allclose(probs, stored[key], rtol=1e-12, atol=1e-12, err_msg=key)
 
-    def test_prediction_takes_one_image(self):
+    def test_batch_prediction_matches_per_image(self):
+        """Float64: one (B, 3, H, W) forward gives (B, K, H, W) probabilities
+        equal to the B single-image predictions; the third image is constant,
+        so its clustering ties."""
         images, _ = four_images()
-        with pytest.raises(ContractError):
-            tiny_model().predict_probabilities(images[:2])
+        model = desk_model(np.float64)
+        probs = model.predict_probabilities(images)
+        assert probs.shape == (4, 9, 32, 32) and probs.dtype == np.float32
+        assert probs.flags.c_contiguous
+        for i, image in enumerate(images):
+            np.testing.assert_allclose(probs[i], model.predict_probabilities(image),
+                                       rtol=1e-12, atol=1e-12, err_msg=f"image {i}")
+
+    def test_prediction_rejects_other_ranks(self):
+        images, _ = four_images()
+        for bad in (images[0, 0], images[None]):
+            with pytest.raises(ContractError):
+                tiny_model().predict_probabilities(bad)
 
 
 class TestFullScale:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsiseg import pipeline
 from hsiseg.errors import ContractError, DataError
 from hsiseg.formats import ClassMap, LabelMap, ProbMap
 from hsiseg.model import BackboneConfig, DualContextNet
@@ -52,6 +53,14 @@ def _tiny_model(seed=0):
         num_classes=3,
         backbone=BackboneConfig(widths=(4, 6, 8, 8), convs_per_stage=(1, 1, 1, 1)),
         channels=8, num_areas=4, iterations=2, heads=2, seed=seed)
+
+
+def _desk_model():
+    """The float64 criterion-8 net with 3 classes."""
+    return DualContextNet(
+        num_classes=3, backbone=BackboneConfig(widths=(16, 32, 64, 64),
+                                               convs_per_stage=(1, 1, 2, 2)),
+        channels=32, num_areas=16, iterations=3, heads=2, seed=1, dtype=np.float64)
 
 
 def _tiny_set(n_images=4, size=16, seed=0):
@@ -217,6 +226,21 @@ class TestTrain:
         report = run_inference_set(model, held_out, truth=labels)[3]
         assert result.val_rows[-1] == (1, report["hard"]["oa"], report["soft"]["oa"])
 
+    def test_holdout_keeps_degenerate_flags(self, monkeypatch):
+        tri = _tiny_set()
+        tri.degenerate = [True, False, True, False]
+        seen = []
+        real = pipeline.run_inference_set
+
+        def spy(model, held_out, **kwargs):
+            seen.append(held_out.degenerate)
+            return real(model, held_out, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_inference_set", spy)
+        cfg = TrainConfig(epochs=1, batch=2, seed=0, val_fraction=0.5)
+        result = train(tri, _sparse_labels(), _tiny_model(), cfg)
+        assert seen == [[tri.degenerate[i] for i in result.holdout]]
+
     def test_seeded_determinism(self):
         cfg = TrainConfig(epochs=2, batch=2, seed=7, val_fraction=0.0)
         r1 = train(_tiny_set(), _sparse_labels(), _tiny_model(seed=7), cfg)
@@ -327,3 +351,47 @@ class TestInference:
         par = run_inference_set(model, tri, jobs=3)[0]
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("size, chunks", [(32, [4, 4, 2]), (128, [1, 1])])
+    def test_chunks_match_per_image_predictions(self, monkeypatch, size, chunks):
+        """Float64: 32x32 images run four to a forward and agree with
+        single-image prediction to 1e-12; 128x128 images run alone and are
+        bit-identical. Two threads give the same maps, and both votes are the
+        votes over the returned maps."""
+        model = _desk_model()
+        tri = _tiny_set(sum(chunks), size, seed=size)
+        seen = []
+
+        def counting(net, batch):
+            seen.append(len(batch))
+            return predict_image(net, batch)
+
+        monkeypatch.setattr(pipeline, "predict_image", counting)
+        probs, hard, soft, _ = run_inference_set(model, tri)
+        assert seen == chunks
+        for p, q in zip(probs, run_inference_set(model, tri, jobs=2)[0]):
+            np.testing.assert_array_equal(p.values, q.values)
+        for i, (p, img) in enumerate(zip(probs, tri.images)):
+            expected = model.predict_probabilities(img)
+            if size == 128:
+                np.testing.assert_array_equal(p.values, expected, err_msg=f"image {i}")
+            else:
+                np.testing.assert_allclose(p.values, expected, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"image {i}")
+        np.testing.assert_array_equal(hard.labels, hard_vote([classify(p) for p in probs]).labels)
+        np.testing.assert_array_equal(soft.labels, soft_vote(probs).labels)
+
+    def test_mixed_image_sizes_rejected(self):
+        images = _tiny_set(1, 16).images + _tiny_set(1, 32).images
+        tri = TriSpectralSet(images, [BandTriplet(3, 2, 1), BandTriplet(4, 2, 1)], [False] * 2)
+        with pytest.raises(ContractError, match="images disagree on shape"):
+            run_inference_set(_tiny_model(), tri)
+        with pytest.raises(ContractError, match="images disagree on shape"):
+            train(tri, _sparse_labels(), _tiny_model(), TrainConfig(epochs=1, batch=1))
+
+    def test_report_names_degenerate_images(self):
+        tri = _tiny_set(3)
+        tri.degenerate = [False, True, False]
+        assert run_inference_set(_tiny_model(), tri)[3]["degenerate"] == [1]
+        tri.degenerate = []
+        assert run_inference_set(_tiny_model(), tri)[3]["degenerate"] == []
