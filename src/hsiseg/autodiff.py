@@ -522,23 +522,35 @@ def depthwise_conv2d(x, w, b=None):
 
 
 def maxpool2d(x, size=2):
-    """Non-overlapping max pooling of (B, C, H, W); ties route the gradient to the first maximum."""
+    """Non-overlapping max pooling of (B, C, H, W); ties route the gradient to the first maximum.
+
+    The forward is an elementwise maximum over the size² strided tap views of
+    each window. The loop over taps stays because the one batched op that
+    does the job, ``max(axis=(3, 5))`` over the windows, measured 30x slower
+    on a (1, 16, 128, 128) map, and 2.5x slower than the argmax it replaced."""
     _check_images("maxpool2d", x)
     nb, c, h, w = x.shape
     if h % size or w % size:
         raise ContractError(f"maxpool2d: {x.shape} not divisible by {size}")
     oh, ow = h // size, w // size
-    win = x.data.reshape(nb, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5) \
-        .reshape(nb, c, oh, ow, size * size)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], -1)[..., 0]
+    win = x.data.reshape(nb, c, oh, size, ow, size)
+    taps = [(i, j) for i in range(size) for j in range(size)]  # row-major window order
+    out = win[:, :, :, 0, :, 0].copy()
+    for i, j in taps[1:]:
+        np.maximum(out, win[:, :, :, i, :, j], out=out)
 
     def bw(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, arg[..., None], g[..., None], -1)
-        dx = dwin.reshape(nb, c, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(nb, c, h, w)
-        _accumulate(x, dx)
+        # each tap takes g where it holds the maximum and no earlier tap did;
+        # a product with the mask is several times faster than a masked copy
+        dwin = np.empty_like(win)
+        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet routed
+        for i, j in taps:
+            hit = win[:, :, :, i, :, j] == out
+            hit &= free
+            free ^= hit  # hit is a subset of free
+            np.multiply(g, hit, out=dwin[:, :, :, i, :, j])
+        dwin += 0  # turns the -0.0 of a negative g times False into +0.0
+        _accumulate(x, dwin.reshape(nb, c, h, w))
 
     return Tensor._from_op(out, (x,), "maxpool2d", bw)
 
@@ -562,25 +574,32 @@ def _check_factor(name, factor):
     return int(factor)
 
 
+def _interpolation_matrix(taps, n):
+    """(outputs, n) matrix whose row i holds the two weights of ``_bilinear_taps`` output i."""
+    i0, i1, w0, w1 = taps
+    rows = np.arange(i0.size)
+    m = np.zeros((i0.size, n), w0.dtype)
+    m[rows, i0] = w0
+    m[rows, i1] += w1  # at the clipped edges i0 == i1 and the weights add
+    return m
+
+
 def bilinear_upsample(x, factor):
-    """Upsample (B, C, H, W) by an integer factor; sample centers at (i+0.5)/f - 0.5."""
+    """Upsample (B, C, H, W) by an integer factor; sample centers at (i+0.5)/f - 0.5.
+
+    Separable: a column pass, then a row pass over its result. The backward is
+    the adjoint of both passes, My^T @ g @ Mx, with interpolation matrices."""
     factor = _check_factor("bilinear_upsample", factor)
     _check_images("bilinear_upsample", x)
     h, w = x.shape[2:]
-    y0, y1, wy0, wy1 = _bilinear_taps(np.arange(h * factor), h, factor, x.dtype)
-    x0, x1, wx0, wx1 = _bilinear_taps(np.arange(w * factor), w, factor, x.dtype)
-    wy0, wy1 = wy0[:, None], wy1[:, None]
-    wx0, wx1 = wx0[None, :], wx1[None, :]
+    ty = y0, y1, wy0, wy1 = _bilinear_taps(np.arange(h * factor), h, factor, x.dtype)
+    tx = x0, x1, wx0, wx1 = _bilinear_taps(np.arange(w * factor), w, factor, x.dtype)
     d = x.data
-    out = wy0 * (wx0 * d[:, :, y0[:, None], x0] + wx1 * d[:, :, y0[:, None], x1]) \
-        + wy1 * (wx0 * d[:, :, y1[:, None], x0] + wx1 * d[:, :, y1[:, None], x1])
+    cols = wx0 * np.take(d, x0, axis=3) + wx1 * np.take(d, x1, axis=3)
+    out = wy0[:, None] * np.take(cols, y0, axis=2) + wy1[:, None] * np.take(cols, y1, axis=2)
 
     def bw(g):
-        dx = np.zeros_like(d)
-        for yi, wy in ((y0, wy0), (y1, wy1)):
-            for xi, wx in ((x0, wx0), (x1, wx1)):
-                np.add.at(dx, (slice(None), slice(None), yi[:, None], xi), wy * wx * g)
-        _accumulate(x, dx)
+        _accumulate(x, _interpolation_matrix(ty, h).T @ (g @ _interpolation_matrix(tx, w)))
 
     return Tensor._from_op(out, (x,), "bilinear_upsample", bw)
 

@@ -218,8 +218,8 @@ def model_program(rng):
     flat[rng.choice(256, size=20, replace=False)] = rng.integers(1, 4, size=20)
 
     def f(x):
-        main, aux, _ = model.forward_from_tensor(x)
-        return model.loss(main, aux, labels)
+        main, stage3, _ = model.forward_from_tensor(x)
+        return model.loss(main, model.aux_head(stage3), labels)
 
     return f, [Tensor(0.5 * rng.standard_normal((1, 3, 16, 16)))]
 

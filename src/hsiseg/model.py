@@ -2,12 +2,13 @@
 
 A truncated VGG-style backbone keeps the feature map at stride 4 (pools only
 after the first two stages), a 3x3 convolution reduces the width to the
-context channel count, the dual context module enriches the map, and 3x3
-classifier heads produce stride-4 logits, which inference upsamples x4
-bilinearly to dense logits. An auxiliary head reads the stage-3 feature. The
-loss is softmax cross entropy over labeled pixels with the auxiliary term
-weighted 0.4; training samples the stride-4 logits at the labeled pixels
-only, which equals upsampling and then selecting them.
+context channel count, the dual context module enriches the map, and a 3x3
+classifier head produces stride-4 logits, which inference upsamples x4
+bilinearly to dense logits. An auxiliary head reads the stage-3 feature; it
+serves only the loss, so prediction never runs it. The loss is softmax cross
+entropy over labeled pixels with the auxiliary term weighted 0.4; training
+samples the stride-4 logits at the labeled pixels only, which equals
+upsampling and then selecting them.
 """
 
 from __future__ import annotations
@@ -171,12 +172,14 @@ class DualContextNet:
     def forward_from_tensor(self, x):
         """Run the padded, normalized (B, 3, H', W') tensor through the network.
 
-        Returns the stride-4 (main logits, aux logits, areas); the logit maps
-        are (B, num_classes, H'/4, W'/4)."""
+        Returns (main logits, stage-3 feature, areas), all at stride 4: the
+        main logits are (B, num_classes, H'/4, W'/4). The auxiliary head is a
+        training-only loss term, so ``loss_on`` applies it to the stage-3
+        feature and prediction never runs it."""
         stage3, stage4 = self.backbone.forward(x)
         features = self.reduce(stage4)
         enriched, areas = self.context(features)
-        return self.head(enriched), self.aux_head(stage3), areas
+        return self.head(enriched), stage3, areas
 
     def features(self, image):
         """The reduced stride-4 (B, C, H'/4, W'/4) feature map the context module clusters on."""
@@ -225,8 +228,8 @@ class DualContextNet:
     def loss_on(self, image, labels):
         """Mean loss of one (3, H, W) image or a (B, 3, H, W) batch, on one tape."""
         x, _ = self.prepare_input(image)
-        main, aux, _ = self.forward_from_tensor(x)
-        return self.loss(main, aux, labels)
+        main, stage3, _ = self.forward_from_tensor(x)
+        return self.loss(main, self.aux_head(stage3), labels)
 
     def predict_probabilities(self, image):
         """Softmax of the main logits of one (3, H, W) image or a (B, 3, H, W)
@@ -234,15 +237,13 @@ class DualContextNet:
 
         The whole batch runs one forward; its stride-4 main logits are
         upsampled x4 and cropped to the image, and the softmax runs over the
-        class axis. The auxiliary logits are a training-only loss term and are
-        dropped."""
+        class axis. The upsample writes C-ordered class planes, so the result
+        is C-contiguous without a reorder."""
         with ad.no_grad():
             x, (h, w) = self.prepare_input(image)
             main, _, _ = self.forward_from_tensor(x)
             dense = ad.bilinear_upsample(main, 4).data[:, :, :h, :w]
-            # the upsample leaves classes innermost; C order gives every image
-            # one block of class planes instead of interleaving the batch
-            probs = ad.softmax(Tensor(dense), axis=1).data.astype(np.float32, order="C")
+            probs = ad.softmax(Tensor(dense), axis=1).data.astype(np.float32)
         return probs[0] if np.ndim(image) == 3 else probs
 
     # -- persistence -------------------------------------------------------------------

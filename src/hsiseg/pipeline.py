@@ -140,6 +140,11 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
                     f"non-finite loss {loss.item()!r} at iteration {iteration} on images "
                     f"{[int(i) for i in chunk]}, produced by op {ad.nonfinite_op(loss)!r}")
             loss.backward()
+            for p in opt.params:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise DataError(
+                        f"non-finite gradient of parameter {p.name} at iteration {iteration} "
+                        f"on images {[int(i) for i in chunk]}")
             opt.step(lr)
             train_rows.append((iteration, lr, loss.item()))
             del loss  # free this batch's tape before the next forward builds one

@@ -300,6 +300,110 @@ class TestSampleBilinear:
             ad.sample_bilinear(x, [0, 1], [0], 4)
 
 
+# The kernels that maxpool2d and bilinear_upsample replaced, kept verbatim as
+# references: an argmax over transposed windows, and four full-resolution
+# gathers with an np.add.at adjoint.
+
+
+def _argmax_maxpool2d(x, size=2):
+    ad._check_images("maxpool2d", x)
+    nb, c, h, w = x.shape
+    if h % size or w % size:
+        raise ContractError(f"maxpool2d: {x.shape} not divisible by {size}")
+    oh, ow = h // size, w // size
+    win = x.data.reshape(nb, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5) \
+        .reshape(nb, c, oh, ow, size * size)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], -1)[..., 0]
+
+    def bw(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, arg[..., None], g[..., None], -1)
+        dx = dwin.reshape(nb, c, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5) \
+            .reshape(nb, c, h, w)
+        ad._accumulate(x, dx)
+
+    return Tensor._from_op(out, (x,), "maxpool2d", bw)
+
+
+def _gather_bilinear_upsample(x, factor):
+    factor = ad._check_factor("bilinear_upsample", factor)
+    ad._check_images("bilinear_upsample", x)
+    h, w = x.shape[2:]
+    y0, y1, wy0, wy1 = ad._bilinear_taps(np.arange(h * factor), h, factor, x.dtype)
+    x0, x1, wx0, wx1 = ad._bilinear_taps(np.arange(w * factor), w, factor, x.dtype)
+    wy0, wy1 = wy0[:, None], wy1[:, None]
+    wx0, wx1 = wx0[None, :], wx1[None, :]
+    d = x.data
+    out = wy0 * (wx0 * d[:, :, y0[:, None], x0] + wx1 * d[:, :, y0[:, None], x1]) \
+        + wy1 * (wx0 * d[:, :, y1[:, None], x0] + wx1 * d[:, :, y1[:, None], x1])
+
+    def bw(g):
+        dx = np.zeros_like(d)
+        for yi, wy in ((y0, wy0), (y1, wy1)):
+            for xi, wx in ((x0, wx0), (x1, wx1)):
+                np.add.at(dx, (slice(None), slice(None), yi[:, None], xi), wy * wx * g)
+        ad._accumulate(x, dx)
+
+    return Tensor._from_op(out, (x,), "bilinear_upsample", bw)
+
+
+def _value_and_grad(op, x, cotangent_seed):
+    leaf = Tensor(x.copy(), requires_grad=True)
+    out = op(leaf)
+    g = np.random.default_rng(cotangent_seed).standard_normal(out.shape).astype(x.dtype)
+    (out * Tensor(g)).sum().backward()
+    return out.data, leaf.grad
+
+
+def _assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()  # signed zeros included
+
+
+class TestReplacedKernels:
+    """maxpool2d and bilinear_upsample against the kernels they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape,size", [((1, 2, 4, 6), 2), ((3, 3, 8, 10), 2),
+                                            ((1, 2, 6, 9), 3), ((3, 2, 9, 6), 3)])
+    def test_maxpool_matches_argmax_kernel(self, shape, size, dtype):
+        """Quantized values after a ReLU give ties, positive ones and all-zero
+        windows among them; values and gradients are bit-identical."""
+        rng = np.random.default_rng(21)
+        x = np.maximum(rng.integers(-3, 3, shape) * 0.5, 0).astype(dtype)
+        x[0, 0, :size, :size] = 0.0  # an all-zero window
+        x[-1, -1, -size:, -size:] = 1.5  # a window that is one positive tie
+        new = _value_and_grad(lambda t: ad.maxpool2d(t, size), x, 5)
+        ref = _value_and_grad(lambda t: _argmax_maxpool2d(t, size), x, 5)
+        for actual, expected in zip(new, ref):
+            _assert_same_bits(actual, expected)
+
+    def test_maxpool_propagates_nan(self):
+        x = np.arange(32.0).reshape(1, 2, 4, 4)
+        x[0, 1, 2, 3] = np.nan
+        out = ad.maxpool2d(Tensor(x), 2).data
+        assert np.isnan(out[0, 1, 1, 1])
+        assert np.isfinite(np.delete(out.ravel(), 7)).all()
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize("shape", [(1, 2, 5, 7), (3, 3, 4, 6), (3, 2, 7, 5)])
+    def test_upsample_matches_gather_kernel(self, shape, factor, dtype, atol):
+        """Values are bit-identical; the matrix adjoint sums in another order."""
+        x = np.random.default_rng(22).standard_normal(shape).astype(dtype)
+        new_out, new_grad = _value_and_grad(lambda t: ad.bilinear_upsample(t, factor), x, 6)
+        ref_out, ref_grad = _value_and_grad(lambda t: _gather_bilinear_upsample(t, factor), x, 6)
+        _assert_same_bits(new_out, ref_out)
+        assert new_grad.dtype == dtype
+        np.testing.assert_allclose(new_grad, ref_grad, rtol=0, atol=atol)
+
+    def test_upsample_writes_class_planes(self):
+        out = ad.bilinear_upsample(Tensor(np.zeros((2, 3, 5, 7))), 4).data
+        assert out.flags["C_CONTIGUOUS"]
+
+
 class TestMaskedSoftmax:
     def test_equals_softmax_over_live_entries(self):
         rng = np.random.default_rng(14)

@@ -229,7 +229,8 @@ class TestStrideFourLoss:
     @staticmethod
     def reference_loss(model, image, labels):
         x, _ = model.prepare_input(image)
-        main, aux, _ = model.forward_from_tensor(x)
+        main, stage3, _ = model.forward_from_tensor(x)
+        aux = model.aux_head(stage3)
         ys, xs = np.nonzero(labels)
         onehot = np.zeros((ys.size, model.num_classes))
         onehot[np.arange(ys.size), labels[ys, xs].astype(np.int64) - 1] = 1.0

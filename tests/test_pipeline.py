@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsiseg import autodiff as ad
 from hsiseg import pipeline
 from hsiseg.errors import ContractError, DataError
 from hsiseg.formats import ClassMap, LabelMap, ProbMap
@@ -48,8 +49,8 @@ def metrics_oracle(pred, truth):
     return po, aa, kappa, recalls
 
 
-def _tiny_model(seed=0):
-    return DualContextNet(
+def _tiny_model(seed=0, cls=DualContextNet):
+    return cls(
         num_classes=3,
         backbone=BackboneConfig(widths=(4, 6, 8, 8), convs_per_stage=(1, 1, 1, 1)),
         channels=8, num_areas=4, iterations=2, heads=2, seed=seed)
@@ -273,6 +274,32 @@ class TestTrain:
         for p, old in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, old, err_msg=p.name)
             assert p.grad is None
+
+    def test_non_finite_gradient_stops_before_any_step(self):
+        """A finite loss whose gradient is not finite raises, naming the
+        parameter and the iteration, and no parameter moves."""
+
+        class InfGradientNet(DualContextNet):
+            """Adds a zero to the loss whose backward sends inf to head.bias."""
+
+            def loss_on(self, image, labels):
+                bias = self.head.bias
+
+                def bw(g):
+                    bias.grad = np.full(bias.shape, np.inf, bias.dtype)
+
+                poison = ad.Tensor._from_op(np.zeros((), bias.dtype), (bias,), "poison", bw)
+                return super().loss_on(image, labels) + poison
+
+        model = _tiny_model(cls=InfGradientNet)
+        before = [p.data.copy() for p in model.parameters()]
+        cfg = TrainConfig(epochs=1, batch=2, seed=0, val_fraction=0.0)
+        with pytest.raises(DataError) as exc:
+            train(_tiny_set(), _sparse_labels(), model, cfg)
+        message = str(exc.value)
+        assert "gradient of parameter head.bias at iteration 0" in message
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old, err_msg=p.name)
 
     def test_log_files_written(self, tmp_path):
         model = _tiny_model()
