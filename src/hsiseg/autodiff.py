@@ -411,8 +411,8 @@ def layernorm(x, gamma, beta, axis=-1, eps=1e-5):
     out = gamma.data * xhat + beta.data
 
     def bw(g):
-        _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
-        _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        _accumulate(gamma, g * xhat)
+        _accumulate(beta, g)
         dxhat = g * gamma.data
         term = dxhat - dxhat.mean(axis=axis, keepdims=True) \
             - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)

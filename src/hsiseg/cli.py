@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,21 +41,21 @@ from .synth import synth_scene
 
 
 def model_from_config(cfg: Config, num_classes, seed=0) -> DualContextNet:
-    backbone = BackboneConfig(widths=cfg.get_int_list("backbone.widths"),
-                              convs_per_stage=cfg.get_int_list("backbone.convs"))
+    backbone = BackboneConfig(widths=cfg.get("backbone.widths"),
+                              convs_per_stage=cfg.get("backbone.convs"))
     return DualContextNet(
         num_classes=num_classes,
         backbone=backbone,
-        channels=cfg.get_int("dcm.C"),
-        num_areas=cfg.get_int("dcm.Z"),
-        iterations=cfg.get_int("dcm.T"),
-        heads=cfg.get_int("dcm.heads"),
-        mlp_ratio=cfg.get_int("dcm.mlp_ratio"),
-        use_input=cfg.get_bool("dcm.use_F"),
-        use_regional=cfg.get_bool("dcm.use_RAC"),
-        use_global=cfg.get_bool("dcm.use_GAC"),
-        input_mean=cfg.get_float("model.input_mean"),
-        input_std=cfg.get_float("model.input_std"),
+        channels=cfg.get("dcm.C"),
+        num_areas=cfg.get("dcm.Z"),
+        iterations=cfg.get("dcm.T"),
+        heads=cfg.get("dcm.heads"),
+        mlp_ratio=cfg.get("dcm.mlp_ratio"),
+        use_input=cfg.get("dcm.use_F"),
+        use_regional=cfg.get("dcm.use_RAC"),
+        use_global=cfg.get("dcm.use_GAC"),
+        input_mean=cfg.get("model.input_mean"),
+        input_std=cfg.get("model.input_std"),
         seed=seed,
     )
 
@@ -84,26 +85,17 @@ def _cmd_train(args):
     cfg = load_config(args.config) if args.config else Config()
     tri_set = trispec.load_set(args.set)
     labels = load_labels(args.labels)
-    num_classes = cfg.get_int("model.classes") or labels.num_classes
-    seed = args.seed if args.seed is not None else cfg.get_int("train.seed")
-    model = model_from_config(cfg, num_classes, seed=seed)
-    tc = pipeline.TrainConfig(
-        epochs=cfg.get_int("train.epochs"),
-        batch=cfg.get_int("train.batch"),
-        lr=cfg.get_float("train.lr"),
-        momentum=cfg.get_float("train.momentum"),
-        weight_decay=cfg.get_float("train.weight_decay"),
-        poly_power=cfg.get_float("train.poly_power"),
-        head_lr_multiplier=cfg.get_float("train.head_lr_multiplier"),
-        seed=seed,
-        val_fraction=cfg.get_float("train.val_fraction"),
-    )
+    num_classes = cfg.get("model.classes") or labels.num_classes
+    settings = {f.name: cfg.get(f"train.{f.name}") for f in fields(pipeline.TrainConfig)}
+    if args.seed is not None:
+        settings["seed"] = args.seed
+    tc = pipeline.TrainConfig(**settings)
+    model = model_from_config(cfg, num_classes, seed=tc.seed)
     result = pipeline.train(tri_set, labels, model, tc,
                             out_dir=os.path.dirname(os.path.abspath(args.out)))
     model.save(args.out)
-    sidecar = dict(model.config_dict())
-    sidecar["model.classes"] = str(num_classes)
-    dump_config(sidecar, args.out + ".cfg")
+    sidecar = {key: text for key, text in cfg.text.items() if not key.startswith("train.")}
+    dump_config({**sidecar, "model.classes": str(num_classes)}, args.out + ".cfg")
     final_loss = result.train_rows[-1][2]
     print(f"trained {len(result.train_rows)} iterations, final loss {final_loss:.6f}; "
           f"checkpoint at {args.out}")
@@ -115,7 +107,7 @@ def _load_model(ckpt_path):
     if not os.path.exists(sidecar):
         raise ConfigError(f"no sidecar config {sidecar} next to the checkpoint")
     cfg = load_config(sidecar)
-    model = model_from_config(cfg, cfg.get_int("model.classes"))
+    model = model_from_config(cfg, cfg.get("model.classes"))
     model.load(ckpt_path)
     return model, cfg
 
@@ -179,8 +171,8 @@ def _cmd_areas(args):
         cfg = Config()
         features = image[None].astype(np.float64) / 255.0
         scale = 1
-    num_areas = args.areas if args.areas is not None else cfg.get_int("dcm.Z")
-    iters = args.iters if args.iters is not None else cfg.get_int("dcm.T")
+    num_areas = args.areas if args.areas is not None else cfg.get("dcm.Z")
+    iters = args.iters if args.iters is not None else cfg.get("dcm.T")
     assignment = run_clustering(features, num_areas, iters)
     grid = assignment.label_grid()[0]
     full = np.kron(grid, np.ones((scale, scale), dtype=grid.dtype))

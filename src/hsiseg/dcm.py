@@ -38,6 +38,9 @@ class DualContextModule:
                  rng=None, dtype=np.float32, prefix="context"):
         if not (use_input or use_regional or use_global):
             raise ConfigError("at least one context stream must be enabled")
+        if num_areas < 4 or iterations < 1:
+            raise ConfigError(f"need at least 4 areas and 1 clustering iteration, "
+                              f"got {num_areas} and {iterations}")
         if rng is None:
             rng = np.random.default_rng(0)
         cfg = AttentionConfig(channels, heads, mlp_ratio)

@@ -119,11 +119,9 @@ class DualContextNet:
         rng = np.random.default_rng(seed)
         cfg = backbone if backbone is not None else BackboneConfig()
         self.num_classes = num_classes
-        self.channels = channels
         self.input_mean = float(input_mean)
         self.input_std = float(input_std)
         self.dtype = np.dtype(dtype)
-        self.backbone_cfg = cfg
         self.backbone = Backbone(cfg, rng, self.dtype)
         self.reduce = Conv3x3(cfg.widths[3], channels, rng, self.dtype, "head", "reduce")
         self.context = DualContextModule(
@@ -247,24 +245,6 @@ class DualContextNet:
         return probs[0] if np.ndim(image) == 3 else probs
 
     # -- persistence -------------------------------------------------------------------
-
-    def config_dict(self):
-        ctx = self.context
-        return {
-            "model.classes": str(self.num_classes),
-            "backbone.widths": ",".join(str(w) for w in self.backbone_cfg.widths),
-            "backbone.convs": ",".join(str(c) for c in self.backbone_cfg.convs_per_stage),
-            "dcm.C": str(self.channels),
-            "dcm.Z": str(ctx.num_areas),
-            "dcm.T": str(ctx.iterations),
-            "dcm.heads": str(ctx.attn_cfg.heads),
-            "dcm.mlp_ratio": str(ctx.attn_cfg.mlp_ratio),
-            "dcm.use_F": "true" if ctx.use_input else "false",
-            "dcm.use_RAC": "true" if ctx.use_regional else "false",
-            "dcm.use_GAC": "true" if ctx.use_global else "false",
-            "model.input_mean": repr(self.input_mean),
-            "model.input_std": repr(self.input_std),
-        }
 
     def save(self, path):
         save_checkpoint([(name, p.data) for name, p in self.named_parameters()], path)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hsiseg.cli import dispatch
-from hsiseg.config import DEFAULTS, parse_config
+from hsiseg.config import DEFAULTS, Config, parse_config
 from hsiseg.errors import ConfigError
 from hsiseg.formats import load_class_map, load_labels, read_ppm
 
@@ -90,9 +90,9 @@ class TestConfigFile:
 
     def test_defaults_and_overrides(self):
         cfg = parse_config("dcm.Z = 64\n# comment\n")
-        assert cfg.get_int("dcm.Z") == 64
-        assert cfg.get_int("dcm.T") == 5
-        assert cfg.get_bool("dcm.use_GAC") is True
+        assert cfg.get("dcm.Z") == 64
+        assert cfg.get("dcm.T") == 5
+        assert cfg.get("dcm.use_GAC") is True
 
     @pytest.mark.parametrize("key", ["trispec.G", "trispec.wavelength_descending",
                                      "dcm.activation"])
@@ -103,6 +103,49 @@ class TestConfigFile:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("dcm.Z 64")
+
+    @pytest.mark.parametrize("key,value", [
+        ("dcm.Z", "four"), ("train.lr", "fast"), ("dcm.use_F", "maybe"),
+        ("backbone.widths", "4;6"),
+    ])
+    def test_malformed_value_names_key_and_value(self, scene, tmp_path, key, value):
+        from hsiseg.cli import build_parser
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        args = build_parser().parse_args([
+            "train", "--set", str(scene / "set"), "--labels", str(scene / "train.lbl"),
+            "--config", str(cfg), "--out", str(tmp_path / "model.ckpt")])
+        with pytest.raises(ConfigError) as info:
+            args.func(args)
+        assert key in str(info.value) and value in str(info.value)
+        assert not (tmp_path / "model.ckpt").exists()
+
+
+class TestDefaults:
+    """The key table and the constructor signatures each hold the defaults;
+    they must agree."""
+
+    def test_net_from_default_config_matches_default_net(self):
+        from hsiseg.cli import model_from_config
+        from hsiseg.model import DualContextNet
+
+        def architecture(net):
+            ctx = net.context
+            return ([(n, p.data.shape) for n, p in net.named_parameters()], ctx.attn_cfg,
+                    ctx.num_areas, ctx.iterations, ctx.use_input, ctx.use_regional,
+                    ctx.use_global, net.input_mean, net.input_std)
+
+        assert architecture(model_from_config(Config(), 5)) == architecture(DualContextNet(5))
+
+    def test_train_config_from_default_config_matches_default(self):
+        from dataclasses import fields
+
+        from hsiseg.pipeline import TrainConfig
+
+        cfg = Config()
+        built = TrainConfig(**{f.name: cfg.get(f"train.{f.name}") for f in fields(TrainConfig)})
+        assert built == TrainConfig()
 
 
 class TestGenerate:
@@ -130,6 +173,26 @@ class TestTrainPredictVoteEval:
         assert "dcm.Z = 4" in sidecar.read_text()
         log = trained.parent / "train_log.csv"
         assert log.read_text().startswith("iter,lr,loss")
+
+    def test_sidecar_round_trip(self, scene, tmp_path):
+        """Settings that change no parameter shape survive the sidecar, which
+        the strict checkpoint load alone would not catch."""
+        from hsiseg.cli import _load_model
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG + "dcm.T = 2\ndcm.use_GAC = false\nmodel.input_mean = 0.4\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert dispatch(["train", "--set", str(scene / "set"),
+                         "--labels", str(scene / "train.lbl"),
+                         "--config", str(cfg), "--out", str(ckpt)]) == 0
+        lines = (tmp_path / "model.ckpt.cfg").read_text().splitlines()
+        assert sorted(line.split(" = ")[0] for line in lines) \
+            == sorted(key for key in DEFAULTS if not key.startswith("train."))
+        assert "model.classes = 3" in lines
+        model, _ = _load_model(str(ckpt))
+        assert model.context.iterations == 2
+        assert model.context.use_global is False
+        assert model.input_mean == 0.4
 
     def test_predict_vote_eval(self, scene, trained, tmp_path):
         pred_dir = tmp_path / "pred"
@@ -167,7 +230,7 @@ class TestTrainPredictVoteEval:
         "train.head_lr_multiplier = nan", "train.head_lr_multiplier = 0",
         "train.head_lr_multiplier = -5",
         "model.input_std = 0", "model.input_std = -0.25", "model.input_std = inf",
-        "model.input_mean = nan", "model.input_mean = inf",
+        "model.input_mean = nan", "model.input_mean = inf", "dcm.Z = 3", "dcm.T = 0",
     ])
     def test_out_of_range_config_fails_cleanly(self, scene, tmp_path, capsys, override):
         cfg = tmp_path / "bad.cfg"

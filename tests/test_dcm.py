@@ -77,6 +77,11 @@ class TestStreamFlags:
             _block(np.random.default_rng(6), use_input=False,
                    use_regional=False, use_global=False)
 
+    @pytest.mark.parametrize("areas,iters", [(3, 2), (4, 0)])
+    def test_unclusterable_settings_rejected_at_construction(self, areas, iters):
+        with pytest.raises(ConfigError):
+            _block(np.random.default_rng(6), areas=areas, iters=iters)
+
 
 class TestRegionalEncoding:
     def test_single_area_equals_full_image_pass(self):

@@ -460,9 +460,3 @@ class TestPersistence:
         with pytest.raises(ContractError):
             target.load(path)  # strict load still demands every parameter
 
-    def test_config_dict_covers_architecture(self):
-        model = tiny_model()
-        cfg = model.config_dict()
-        assert cfg["dcm.Z"] == "4"
-        assert cfg["dcm.C"] == "8"
-        assert cfg["backbone.widths"] == "4,6,8,8"
