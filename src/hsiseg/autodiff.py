@@ -212,13 +212,19 @@ def _accumulate(t, g):
 # -- elementwise arithmetic -------------------------------------------------------
 
 
-def add(a, b):
+def _binary(op, a, b, forward):
+    """Coerce both operands to tensors (a bare number takes the other's dtype)
+    and apply ``forward`` to their arrays, naming ``op`` if they do not broadcast."""
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     try:
-        out = a.data + b.data
+        return a, b, forward(a.data, b.data)
     except ValueError:
-        raise ContractError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+        raise ContractError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+
+
+def add(a, b):
+    a, b, out = _binary("add", a, b, np.add)
 
     def bw(g):
         _accumulate(a, g)
@@ -228,12 +234,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ContractError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
+    a, b, out = _binary("sub", a, b, np.subtract)
 
     def bw(g):
         _accumulate(a, g)
@@ -243,12 +244,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ContractError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    a, b, out = _binary("mul", a, b, np.multiply)
 
     def bw(g):
         _accumulate(a, g * b.data)
@@ -258,12 +254,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ContractError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
+    a, b, out = _binary("div", a, b, np.divide)
 
     def bw(g):
         _accumulate(a, g / b.data)

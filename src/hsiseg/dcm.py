@@ -17,6 +17,7 @@ from .cluster import AreaAssignment, area_means, run_clustering
 from .errors import ConfigError
 from .nn import (
     AttentionConfig,
+    Module,
     PositionalConv1d,
     PositionalConv2d,
     TransformerDecoderLayer,
@@ -24,7 +25,7 @@ from .nn import (
 )
 
 
-class DualContextModule:
+class DualContextModule(Module):
     """Area-structured context extraction over a (B, C, H, W) batch of feature maps.
 
     Stream flags select what the output concatenates: the raw input map, the
@@ -66,25 +67,7 @@ class DualContextModule:
 
     @property
     def out_channels(self):
-        streams = int(self.use_input)
-        if self.use_global:
-            streams += 1
-        elif self.use_regional:
-            streams += 1
-        return streams * self.channels
-
-    def parameters(self):
-        out = []
-        for block in (self.pos_map, self.region_encoder, self.pos_seq,
-                      self.summary_encoder, self.context_decoder):
-            if block is not None:
-                out.extend(block.parameters())
-        return out
-
-    def zero_output_projections(self):
-        for block in (self.region_encoder, self.summary_encoder, self.context_decoder):
-            if block is not None:
-                block.zero_output_projections()
+        return (int(self.use_input) + int(self.use_regional or self.use_global)) * self.channels
 
     # -- stages ----------------------------------------------------------------
 

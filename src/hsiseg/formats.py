@@ -65,9 +65,6 @@ class HsiCube:
     def width(self):
         return self.values.shape[2]
 
-    def band_plane(self, k):
-        return self.values[k]
-
 
 @dataclass
 class LabelMap:
@@ -82,14 +79,6 @@ class LabelMap:
         if lab.min(initial=0) < 0 or lab.max(initial=0) > 0xFFFF:
             raise DataError("labels must fit in uint16")
         self.labels = lab.astype(np.uint16)
-
-    @property
-    def height(self):
-        return self.labels.shape[0]
-
-    @property
-    def width(self):
-        return self.labels.shape[1]
 
     @property
     def num_classes(self):
@@ -116,14 +105,6 @@ class ClassMap:
             raise DataError("class ids must fit in uint16")
         self.labels = lab.astype(np.uint16)
 
-    @property
-    def height(self):
-        return self.labels.shape[0]
-
-    @property
-    def width(self):
-        return self.labels.shape[1]
-
 
 @dataclass
 class ProbMap:
@@ -140,18 +121,6 @@ class ProbMap:
         if v.size and v.min() < 0:
             raise DataError("probability map contains negative scores")
         self.values = v
-
-    @property
-    def classes(self):
-        return self.values.shape[0]
-
-    @property
-    def height(self):
-        return self.values.shape[1]
-
-    @property
-    def width(self):
-        return self.values.shape[2]
 
     def argmax_map(self):
         return ClassMap(self.values.argmax(axis=0) + 1)

@@ -23,7 +23,7 @@ from .autodiff import Parameter, Tensor
 from .dcm import DualContextModule
 from .errors import ConfigError, ContractError
 from .formats import LabelMap, load_checkpoint, save_checkpoint
-from .nn import uniform_init
+from .nn import Module, uniform_init
 
 DESK_WIDTHS = (16, 32, 64, 64)
 FULL_WIDTHS = (64, 128, 256, 512)
@@ -47,7 +47,7 @@ class BackboneConfig:
         return cls(widths=FULL_WIDTHS)
 
 
-class Conv3x3:
+class Conv3x3(Module):
     def __init__(self, in_ch, out_ch, rng, dtype, group, name):
         fan_in = in_ch * 9
         self.weight = Parameter(uniform_init(rng, (out_ch, in_ch, 3, 3), fan_in, dtype),
@@ -57,11 +57,8 @@ class Conv3x3:
     def __call__(self, x):
         return ad.conv2d(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-
-class Backbone:
+class Backbone(Module):
     """Four conv-relu stages at widths[i]; 2x2 max pools after stages 1 and 2."""
 
     def __init__(self, cfg: BackboneConfig, rng, dtype=np.float32, in_channels=3):
@@ -89,9 +86,6 @@ class Backbone:
                 stage3 = h
         return stage3, h
 
-    def parameters(self):
-        return [p for stage in self.stages for conv in stage for p in conv.parameters()]
-
 
 def _logit_factor(logit_shape, label_shape):
     """1 for full-resolution logits, 4 for the stride-4 map of the padded input."""
@@ -103,7 +97,7 @@ def _logit_factor(logit_shape, label_shape):
     raise ContractError(f"labels {label_shape} do not match logits {logit_shape}")
 
 
-class DualContextNet:
+class DualContextNet(Module):
     """Backbone + reduction conv + dual context module + classifier heads."""
 
     def __init__(self, num_classes, backbone=None, channels=32, num_areas=16,
@@ -134,11 +128,6 @@ class DualContextNet:
                                 "head", "aux_head")
 
     # -- parameter plumbing ----------------------------------------------------
-
-    def parameters(self):
-        return (self.backbone.parameters() + self.reduce.parameters()
-                + self.context.parameters() + self.head.parameters()
-                + self.aux_head.parameters())
 
     def named_parameters(self):
         return [(p.name, p) for p in self.parameters()]

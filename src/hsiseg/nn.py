@@ -44,6 +44,31 @@ class AttentionConfig:
         return self.channels // self.heads
 
 
+class Module:
+    """A block of the network whose parameters are its attributes.
+
+    ``parameters()`` walks the instance's attributes in assignment order: a
+    ``Parameter`` is itself, a list gives its entries in order, and anything
+    with a ``parameters`` method (a sub-block, or a wrapper that forwards
+    attribute access to one) gives its own. Other values, ``None`` among
+    them, hold none. That order is the checkpoint's entry order and the
+    optimizer's.
+    """
+
+    def parameters(self):
+        return _parameters_of(list(vars(self).values()))
+
+
+def _parameters_of(value):
+    if isinstance(value, Parameter):
+        return [value]
+    if isinstance(value, list):
+        return [p for item in value for p in _parameters_of(item)]
+    if hasattr(value, "parameters"):
+        return value.parameters()
+    return []
+
+
 def uniform_init(rng, shape, fan_in, dtype):
     bound = math.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
@@ -86,7 +111,7 @@ def group_buckets(groups):
     return buckets
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """h parallel heads, channel-concatenated and projected back to C.
 
     Queries come from the first input; keys and values from the second.
@@ -171,15 +196,8 @@ class MultiHeadAttention:
         joined = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
         return ad.reshape(ad.gather_rows(joined, slot), (nb, n_img, c))
 
-    def parameters(self):
-        return [self.wq, self.wk, self.wv, self.bq, self.bk, self.bv, self.wo, self.bo]
 
-    def zero_output_projection(self):
-        self.wo.data[:] = 0
-        self.bo.data[:] = 0
-
-
-class Mlp:
+class Mlp(Module):
     """linear(C -> ratio*C), ReLU, linear(-> C)."""
 
     def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="mlp"):
@@ -193,15 +211,8 @@ class Mlp:
         h = ad.matmul(x, self.w1) + self.b1
         return ad.matmul(ad.relu(h), self.w2) + self.b2
 
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
-    def zero_output_projection(self):
-        self.w2.data[:] = 0
-        self.b2.data[:] = 0
-
-
-class _Norm:
+class _Norm(Module):
     def __init__(self, channels, rng, dtype, name):
         self.gamma = Parameter(np.ones(channels, dtype), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels, dtype), name=f"{name}.beta")
@@ -209,11 +220,8 @@ class _Norm:
     def __call__(self, x):
         return ad.layernorm(x, self.gamma, self.beta, axis=-1)
 
-    def parameters(self):
-        return [self.gamma, self.beta]
 
-
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Pre-norm residual pair: y = (x+p) + attn(norm(x+p)); out = y + mlp(norm(y)).
 
     With ``groups`` the attention stays within each token's group, so one
@@ -232,14 +240,6 @@ class TransformerEncoderLayer:
         y = base + self.attn(normed, normed, key_mask, groups)
         return y + self.mlp(self.norm2(y))
 
-    def parameters(self):
-        return self.attn.parameters() + self.mlp.parameters() \
-            + self.norm1.parameters() + self.norm2.parameters()
-
-    def zero_output_projections(self):
-        self.attn.zero_output_projection()
-        self.mlp.zero_output_projection()
-
 
 class TransformerDecoderLayer(TransformerEncoderLayer):
     """Cross-attention block: y = x + attn(norm(x), memory); out = y + mlp(norm(y))."""
@@ -249,7 +249,7 @@ class TransformerDecoderLayer(TransformerEncoderLayer):
         return y + self.mlp(self.norm2(y))
 
 
-class PositionalConv2d:
+class PositionalConv2d(Module):
     """3x3 depthwise convolution over a (B, C, H, W) batch of maps, padding 1."""
 
     def __init__(self, channels, rng, dtype=np.float32, prefix="pos2d"):
@@ -259,11 +259,8 @@ class PositionalConv2d:
     def __call__(self, x):
         return ad.depthwise_conv2d(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-
-class PositionalConv1d:
+class PositionalConv1d(Module):
     """Depthwise 1-D convolution along each (N, C) sequence of a (B, N, C) batch,
     kernel 3, padding 1.
 
@@ -278,6 +275,3 @@ class PositionalConv1d:
         seq = ad.reshape(ad.transpose(x, (0, 2, 1)), (nb, c, 1, n))
         out = ad.depthwise_conv2d(seq, ad.reshape(self.weight, (-1, 1, 3)), self.bias)
         return ad.transpose(ad.reshape(out, (nb, c, n)), (0, 2, 1))
-
-    def parameters(self):
-        return [self.weight, self.bias]

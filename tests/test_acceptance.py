@@ -29,6 +29,8 @@ from hsiseg.pipeline import (
 from hsiseg.synth import synth_scene
 from hsiseg.trispec import compute_capacity, generate_set, linear_stretch
 
+from helpers import zero_parameters
+
 
 def _report(number, ok, detail):
     marker = "PASS" if ok else "FAIL"
@@ -107,7 +109,7 @@ def test_criterion_5_structural_identity():
         rng = np.random.default_rng(seed)
         block = DualContextModule(channels=8, num_areas=4, iterations=3, heads=2,
                                   rng=rng, dtype=np.float64)
-        block.zero_output_projections()
+        zero_parameters(block)
         f = Tensor(rng.standard_normal((1, 8, 8, 8)))
         out, _ = block(f)
         pos = block.pos_map(f).data

@@ -1,5 +1,7 @@
 """Dual context module: per-area encoding, descriptors, global broadcast."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from hsiseg.autodiff import Tensor
 from hsiseg.cluster import AreaAssignment, make_grid
 from hsiseg.dcm import DualContextModule
 from hsiseg.errors import ConfigError
+
+from helpers import zero_parameters
 
 
 def _manual_assignment(labels, num_areas, h, w):
@@ -21,6 +25,10 @@ def _manual_assignment(labels, num_areas, h, w):
         centers=Tensor(np.zeros((1, num_areas, 1))), layout=layout)
 
 
+# every use_input/use_regional/use_global combination with a stream enabled
+LEGAL_FLAGS = [f for f in itertools.product((True, False), repeat=3) if any(f)]
+
+
 def _block(rng, channels=6, areas=4, iters=2, heads=2, **kw):
     return DualContextModule(channels, areas, iterations=iters, heads=heads,
                              rng=rng, dtype=np.float64, **kw)
@@ -30,7 +38,7 @@ class TestStructuralIdentity:
     def test_zero_projections_reduce_to_concat(self):
         rng = np.random.default_rng(0)
         block = _block(rng)
-        block.zero_output_projections()
+        zero_parameters(block)
         f = Tensor(rng.standard_normal((1, 6, 8, 8)))
         out, _ = block(f)
         pos = block.pos_map(f).data
@@ -82,6 +90,27 @@ class TestStreamFlags:
         with pytest.raises(ConfigError):
             _block(np.random.default_rng(6), areas=areas, iters=iters)
 
+    @pytest.mark.parametrize("flags", LEGAL_FLAGS)
+    def test_parameters_follow_streams(self, flags):
+        """Exactly the enabled branches' blocks own parameters, each listed once."""
+        use_input, use_regional, use_global = flags
+        block = _block(np.random.default_rng(7), use_input=use_input,
+                       use_regional=use_regional, use_global=use_global)
+        params = block.parameters()
+        assert len({id(p) for p in params}) == len(params)
+        branches = {"pos_map": use_regional, "region": use_regional, "pos_seq": use_global,
+                    "summary": use_global, "decode": use_global}
+        assert {p.name.split(".")[1] for p in params} == {b for b, on in branches.items() if on}
+
+    @pytest.mark.parametrize("flags", LEGAL_FLAGS)
+    def test_out_channels_match_forward(self, flags):
+        use_input, use_regional, use_global = flags
+        rng = np.random.default_rng(8)
+        block = _block(rng, use_input=use_input, use_regional=use_regional,
+                       use_global=use_global)
+        out, _ = block(Tensor(rng.standard_normal((1, 6, 8, 8))))
+        assert out.shape == (1, block.out_channels, 8, 8)
+
 
 class TestRegionalEncoding:
     def test_single_area_equals_full_image_pass(self):
@@ -111,7 +140,7 @@ class TestRegionalEncoding:
         """Restitched rows land exactly where their pixels came from."""
         rng = np.random.default_rng(9)
         block = _block(rng, channels=4, areas=4)
-        block.region_encoder.zero_output_projections()
+        zero_parameters(block.region_encoder)
         tokens = rng.standard_normal((16, 4))
         pos = np.zeros((16, 4))
         labels = rng.integers(0, 4, 16)

@@ -38,8 +38,8 @@ class TestCube:
         path = tmp_path / "c.hsc"
         save_cube(cube, path)
         loaded = load_cube(path)
-        np.testing.assert_array_equal(loaded.band_plane(0), [[0, 1], [2, 3]])
-        np.testing.assert_array_equal(loaded.band_plane(2), [[8, 9], [10, 11]])
+        np.testing.assert_array_equal(loaded.values[0], [[0, 1], [2, 3]])
+        np.testing.assert_array_equal(loaded.values[2], [[8, 9], [10, 11]])
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -98,7 +98,7 @@ class TestCube:
             HsiCube(np.zeros((0, 2, 2), np.float32))
 
     def test_band_sequential_layout(self, tmp_path):
-        """band_plane(k) equals the k-th contiguous plane of the file."""
+        """values[k] equals the k-th contiguous plane of the file."""
         cube = HsiCube(np.arange(24, dtype=np.float32).reshape(4, 3, 2))
         path = tmp_path / "c.hsc"
         save_cube(cube, path)
@@ -106,7 +106,7 @@ class TestCube:
         for k in range(4):
             start = 20 + k * 6 * 4
             plane = np.frombuffer(blob[start:start + 24], "<f4").reshape(3, 2)
-            np.testing.assert_array_equal(plane, load_cube(path).band_plane(k))
+            np.testing.assert_array_equal(plane, load_cube(path).values[k])
 
 
 class TestLabels:

@@ -21,6 +21,8 @@ from hsiseg.nn import (
     uniform_init,
 )
 
+from helpers import zero_parameters
+
 
 def mha_oracle(x1, x2, block):
     """Row-by-row re-evaluation of multi-head attention with plain floats."""
@@ -349,7 +351,7 @@ class TestEncoderLayer:
     def test_zero_projections_identity_on_base(self):
         rng = np.random.default_rng(10)
         layer = TransformerEncoderLayer(AttentionConfig(8, 2), rng, np.float64)
-        layer.zero_output_projections()
+        zero_parameters(layer)
         x = Tensor(rng.standard_normal((1, 6, 8)))
         p = Tensor(rng.standard_normal((1, 6, 8)))
         np.testing.assert_allclose(layer(x, pos=p).data, x.data + p.data)
@@ -369,7 +371,7 @@ class TestDecoderLayer:
     def test_zero_projections_identity(self):
         rng = np.random.default_rng(12)
         layer = TransformerDecoderLayer(AttentionConfig(8, 2), rng, np.float64)
-        layer.zero_output_projections()
+        zero_parameters(layer)
         x = Tensor(rng.standard_normal((1, 5, 8)))
         memory = Tensor(rng.standard_normal((1, 3, 8)))
         np.testing.assert_allclose(layer(x, memory).data, x.data)
@@ -377,7 +379,7 @@ class TestDecoderLayer:
     def test_single_key_adds_shared_vector(self):
         rng = np.random.default_rng(13)
         layer = TransformerDecoderLayer(AttentionConfig(6, 2), rng, np.float64)
-        layer.mlp.zero_output_projection()  # isolate the attention residual
+        zero_parameters(layer, (".mlp.w2", ".mlp.b2"))  # isolate the attention residual
         x = Tensor(rng.standard_normal((1, 4, 6)))
         memory = Tensor(rng.standard_normal((1, 1, 6)))
         delta = (layer(x, memory).data - x.data)[0]
