@@ -272,15 +272,6 @@ def relu(a):
     return Tensor._from_op(out, (a,), "relu", bw)
 
 
-def exp(a):
-    out = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * out)
-
-    return Tensor._from_op(out, (a,), "exp", bw)
-
-
 # -- shape manipulation -----------------------------------------------------------
 
 
@@ -369,8 +360,10 @@ def softmax(a, axis=-1, mask=None):
     """Softmax along ``axis``; entries where the broadcast ``mask`` is False get weight 0."""
     x = a.data if mask is None else np.where(mask, a.data, _MASKED_LOGIT)
     m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=axis, keepdims=True)
+    # x - m is the one new array; exp and the division run in place on it
+    out = x - m
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

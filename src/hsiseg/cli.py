@@ -165,7 +165,7 @@ def _cmd_areas(args):
     image = read_ppm(args.image)
     if args.checkpoint:
         model, cfg = _load_model(args.checkpoint)
-        features = model.features(image).detach()
+        features = model.features(image).data
         scale = 4
     else:
         cfg = Config()

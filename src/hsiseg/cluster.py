@@ -4,8 +4,9 @@ A stride-reduced feature map is tiled into a near-uniform grid whose cell
 means seed the cluster centers. Each iteration recomputes per-pixel
 affinities exp(-||f - r||^2) against the centers of the pixel's 3x3
 grid-cell neighborhood, then soft-updates every center as the
-affinity-weighted feature mean. The loop is differentiable; the final hard
-argmax assignment is exported as plain index structure.
+affinity-weighted feature mean. The areas are index structure that no
+gradient flows through, so the loop runs on plain arrays; the final hard
+argmax assignment is exported as the labels.
 """
 
 from __future__ import annotations
@@ -78,15 +79,13 @@ def make_grid(height, width, num_areas) -> GridLayout:
 class AreaAssignment:
     """Output of the clustering loop over a batch of B feature maps.
 
-    ``affinity`` and ``centers`` stay on the gradient tape; ``labels`` and
-    ``counts`` are hard, non-differentiable structure. Every image has its
-    own Z areas.
+    Every image has its own Z areas.
     """
 
-    affinity: Tensor  # (B, N, Z), exact zeros outside each pixel's window
+    affinity: np.ndarray  # (B, N, Z), exact zeros outside each pixel's window
     labels: np.ndarray  # (B, N) argmax area per pixel
     counts: np.ndarray  # (B, Z) pixels per area
-    centers: Tensor  # (B, Z, C)
+    centers: np.ndarray  # (B, Z, C)
     layout: GridLayout
     used_fallback: bool = False  # in any image
 
@@ -119,20 +118,20 @@ def area_means(tokens, labels, num_areas):
 
 
 def _to_tokens(features):
-    """(B, C, H, W) tensor or array -> ((B, N, C) tensor, C, H, W)."""
-    if not isinstance(features, Tensor):
-        features = Tensor(np.asarray(features))
-    if features.ndim != 4:
-        raise ContractError(f"expected (B, C, H, W) features, got {features.shape}")
+    """(B, C, H, W) float array -> ((B, N, C) token view, C, H, W)."""
+    features = np.asarray(features)
+    if features.ndim != 4 or features.dtype.kind != "f":
+        raise ContractError(
+            f"expected (B, C, H, W) float features, got {features.dtype} {features.shape}")
     nb, c, h, w = features.shape
-    return ad.transpose(ad.reshape(features, (nb, c, h * w)), (0, 2, 1)), c, h, w
+    return features.reshape(nb, c, h * w).transpose(0, 2, 1), c, h, w
 
 
 def init_centers(features, num_areas):
     """Grid-cell feature means; returns (layout, (B, Z, C) centers)."""
     tokens, _, h, w = _to_tokens(features)
     layout = make_grid(h, w, num_areas)
-    return layout, area_means(tokens, layout.cell_index, num_areas)
+    return layout, area_means(Tensor(tokens), layout.cell_index, num_areas).data
 
 
 def compute_affinity(tokens, centers, layout):
@@ -142,11 +141,10 @@ def compute_affinity(tokens, centers, layout):
     mask broadcasts over the batch."""
     nb, z = centers.shape[:2]
     sq_t = (tokens * tokens).sum(axis=2, keepdims=True)  # (B, N, 1)
-    sq_c = ad.reshape((centers * centers).sum(axis=2), (nb, 1, z))
-    cross = ad.matmul(tokens, ad.transpose(centers, (0, 2, 1)))  # (B, N, Z)
-    d2 = ad.relu(sq_t - 2.0 * cross + sq_c)  # clamp float negatives at zero distance
-    mask = Tensor(layout.window_mask.astype(tokens.dtype))
-    return ad.exp(-d2) * mask
+    sq_c = (centers * centers).sum(axis=2).reshape(nb, 1, z)
+    cross = tokens @ centers.transpose(0, 2, 1)  # (B, N, Z)
+    d2 = np.maximum(sq_t - 2.0 * cross + sq_c, 0)  # clamp float negatives at zero distance
+    return np.exp(-d2) * layout.window_mask.astype(tokens.dtype)
 
 
 def soft_update_centers(tokens, affinity, prev_centers):
@@ -155,23 +153,21 @@ def soft_update_centers(tokens, affinity, prev_centers):
     Returns ((B, Z, C) centers, used_fallback).
     """
     mass = affinity.sum(axis=1)  # (B, Z)
-    mass_col = (*mass.shape, 1)
-    zero = mass.data <= 0.0
-    weighted = ad.matmul(ad.transpose(affinity, (0, 2, 1)), tokens)  # (B, Z, C)
+    weighted = affinity.transpose(0, 2, 1) @ tokens  # (B, Z, C)
+    zero = mass <= 0.0
     if zero.any():
-        safe = mass + Tensor(zero.astype(mass.dtype))
-        fresh = weighted / ad.reshape(safe, mass_col)
-        keep = Tensor(zero.astype(mass.dtype)[..., None])
+        keep = zero.astype(mass.dtype)
+        fresh = weighted / (mass + keep)[..., None]
+        keep = keep[..., None]
         return keep * prev_centers + (1.0 - keep) * fresh, True
-    return weighted / ad.reshape(mass, mass_col), False
+    return weighted / mass[..., None], False
 
 
 def hard_assign(affinity, layout):
     """Argmax over each pixel's candidate window; ties pick the smallest index.
 
     (B, N, Z) affinity -> (B, N) labels and (B, Z) counts."""
-    a = np.asarray(affinity.data if isinstance(affinity, Tensor) else affinity)
-    candidates = np.where(layout.window_mask, a, -1.0)
+    candidates = np.where(layout.window_mask, affinity, -1.0)
     labels = candidates.argmax(axis=-1)
     z = layout.num_areas
     counts = np.bincount(offset_labels(labels, z).ravel(), minlength=labels.shape[0] * z)

@@ -87,8 +87,8 @@ class DualContextModule(Module):
         nb, c, h, w = features.shape
         n = h * w
         # areas are index structure; gradients reach the features through the
-        # token paths, so clustering runs off-tape
-        areas = run_clustering(features.detach(), self.num_areas, self.iterations)
+        # token paths, so clustering runs on the plain array
+        areas = run_clustering(features.data, self.num_areas, self.iterations)
 
         def as_tokens(maps):
             return ad.transpose(ad.reshape(maps, (nb, c, n)), (0, 2, 1))

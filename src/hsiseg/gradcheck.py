@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .cluster import run_clustering
 from .dcm import DualContextModule
 from .model import BackboneConfig, DualContextNet
 from .nn import AttentionConfig, TransformerDecoderLayer, TransformerEncoderLayer
@@ -60,7 +59,6 @@ def primitive_programs(rng):
     yield "concat", (lambda x: (ad.concat([x, c34], axis=0) * wcat).sum()), Tensor(x34.copy())
 
     yield "relu", (lambda x: (ad.relu(x) * w34).sum()), Tensor(_kink_free(rng, (3, 4)))
-    yield "exp", (lambda x: (ad.exp(x) * w34).sum()), Tensor(rng.uniform(-1, 1, (3, 4)))
 
     yield "softmax", (lambda x: (ad.softmax(x, axis=-1) * w34).sum()), Tensor(x34.copy())
     mask4 = np.array([True, False, True, True])
@@ -187,14 +185,6 @@ def decoder_program(rng):
     return f, [Tensor(rng.standard_normal((1, 7, 8)))] + layer.parameters()
 
 
-def clustering_program(rng):
-    def f(x):
-        areas = run_clustering(x, num_areas=4, iterations=2)
-        return (areas.centers * areas.centers).sum()
-
-    return f, [Tensor(rng.standard_normal((1, 3, 6, 6)))]
-
-
 def dcm_program(rng):
     block = DualContextModule(channels=8, num_areas=4, iterations=2, heads=2,
                               rng=rng, dtype=np.float64)
@@ -232,7 +222,6 @@ def full_report(seed=0, eps=1e-5):
         rows.append((f"primitive.{name}", grad_check(f, xs, eps)))
     for name, maker in (("encoder_layer", encoder_program),
                         ("decoder_layer", decoder_program),
-                        ("soft_clustering_T2", clustering_program),
                         ("dcm_block", dcm_program),
                         ("model_loss", model_program)):
         f, xs = maker(rng)

@@ -169,10 +169,11 @@ class DualContextNet(Module):
         return self.head(enriched), stage3, areas
 
     def features(self, image):
-        """The reduced stride-4 (B, C, H'/4, W'/4) feature map the context module clusters on."""
-        x, _ = self.prepare_input(image)
-        stage3, stage4 = self.backbone.forward(x)
-        return self.reduce(stage4)
+        """The reduced stride-4 (B, C, H'/4, W'/4) feature map the context module
+        clusters on, computed without recording a tape."""
+        with ad.no_grad():
+            x, _ = self.prepare_input(image)
+            return self.reduce(self.backbone.forward(x)[1])
 
     # -- loss and prediction ----------------------------------------------------------
 
@@ -230,7 +231,7 @@ class DualContextNet(Module):
             x, (h, w) = self.prepare_input(image)
             main, _, _ = self.forward_from_tensor(x)
             dense = ad.bilinear_upsample(main, 4).data[:, :, :h, :w]
-            probs = ad.softmax(Tensor(dense), axis=1).data.astype(np.float32)
+            probs = ad.softmax(Tensor(dense), axis=1).data.astype(np.float32, copy=False)
         return probs[0] if np.ndim(image) == 3 else probs
 
     # -- persistence -------------------------------------------------------------------

@@ -23,10 +23,12 @@ from .formats import (
 )
 from .trispec import TriSpectralSet
 
-# Prediction runs in chunks of about this many pixels: four 32x32 images share
-# one forward, while a 64x64 or larger image runs alone. Larger chunks buy
-# little speed and grow the peak memory of the full-resolution im2col.
-PIXELS_PER_CHUNK = 4 * 32 * 32
+# Prediction runs in chunks of about this many pixels: eight 32x32 images share
+# one forward, two 64x64 images do, and a 128x128 image runs alone. A forward
+# has a fixed cost of about two 32x32 images, which eight images spread thin;
+# larger chunks buy little more speed and grow the peak memory of the
+# full-resolution im2col.
+PIXELS_PER_CHUNK = 8 * 32 * 32
 
 
 @dataclass

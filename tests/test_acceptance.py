@@ -71,7 +71,7 @@ def test_criterion_2_stretch_oracle():
 
 def test_criterion_3_gradient_suite():
     """Finite differences confirm every primitive, both transformer layers,
-    T=2 soft clustering, the context block, and the end-to-end toy loss."""
+    the context block, and the end-to-end toy loss."""
     start = time.time()
     rows = full_report(seed=0)
     worst = max(err for _, err in rows)
@@ -91,12 +91,12 @@ def test_criterion_4_clustering_oracle():
     for _ in range(50):
         f = rng.standard_normal((4, 8, 8))
         for t in (1, 3, 5):
-            areas = run_clustering(Tensor(f[None]), 4, t)
+            areas = run_clustering(f[None], 4, t)
             labels, centers = dense_clustering_oracle(f, 4, t, areas.layout)
             if not np.array_equal(areas.labels[0], labels):
                 _report(4, False, f"label mismatch at T={t}")
             worst_center = max(worst_center,
-                               float(np.abs(areas.centers.data[0] - centers).max()))
+                               float(np.abs(areas.centers[0] - centers).max()))
     _report(4, worst_center < 1e-6,
             f"150 runs, labels identical, max center error {worst_center:.2e}")
 

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hsiseg.autodiff import Tensor, grad_check
+import hsiseg.autodiff as ad
+from hsiseg.autodiff import Tensor
 from hsiseg.cluster import (
+    AreaAssignment,
+    area_means,
     compute_affinity,
     hard_assign,
     init_centers,
@@ -15,6 +18,8 @@ from hsiseg.cluster import (
     soft_update_centers,
 )
 from hsiseg.errors import ConfigError, ContractError
+
+from test_autodiff import _assert_same_bits
 
 
 def dense_clustering_oracle(f, num_areas, iterations, layout):
@@ -95,36 +100,36 @@ class TestInitCenters:
         values[0, :2, 2:] = 2.0
         values[0, 2:, :2] = 3.0
         values[0, 2:, 2:] = 4.0
-        layout, centers = init_centers(Tensor(values[None]), 4)
-        np.testing.assert_allclose(centers.data.ravel(), [1, 2, 3, 4])
+        layout, centers = init_centers(values[None], 4)
+        np.testing.assert_allclose(centers.ravel(), [1, 2, 3, 4])
 
     def test_constant_map(self):
-        layout, centers = init_centers(Tensor(np.full((1, 3, 4, 4), 2.5)), 4)
-        np.testing.assert_allclose(centers.data, 2.5)
+        layout, centers = init_centers(np.full((1, 3, 4, 4), 2.5), 4)
+        np.testing.assert_allclose(centers, 2.5)
 
 
 class TestAffinity:
     def test_zero_distance_gives_one(self):
         layout = make_grid(4, 4, 4)
-        tokens = Tensor(np.zeros((1, 16, 2)))
-        centers = Tensor(np.zeros((1, 4, 2)))
+        tokens = np.zeros((1, 16, 2))
+        centers = np.zeros((1, 4, 2))
         a = compute_affinity(tokens, centers, layout)
-        assert np.all(a.data[0][layout.window_mask] == 1.0)
-        assert np.all(a.data[0][~layout.window_mask] == 0.0)
+        assert np.all(a[0][layout.window_mask] == 1.0)
+        assert np.all(a[0][~layout.window_mask] == 0.0)
 
     def test_unit_distance_value(self):
         layout = make_grid(4, 4, 4)
-        tokens = Tensor(np.zeros((1, 16, 1)))
-        centers = Tensor(np.ones((1, 4, 1)))
+        tokens = np.zeros((1, 16, 1))
+        centers = np.ones((1, 4, 1))
         a = compute_affinity(tokens, centers, layout)
-        np.testing.assert_allclose(a.data[0][layout.window_mask], math.exp(-1), rtol=1e-12)
+        np.testing.assert_allclose(a[0][layout.window_mask], math.exp(-1), rtol=1e-12)
 
     def test_affinity_in_unit_interval(self):
         rng = np.random.default_rng(0)
         layout = make_grid(6, 6, 4)
-        tokens = Tensor(rng.standard_normal((1, 36, 3)))
-        centers = Tensor(rng.standard_normal((1, 4, 3)))
-        a = compute_affinity(tokens, centers, layout).data[0]
+        tokens = rng.standard_normal((1, 36, 3))
+        centers = rng.standard_normal((1, 4, 3))
+        a = compute_affinity(tokens, centers, layout)[0]
         inside = a[layout.window_mask]
         assert inside.min() > 0 and inside.max() <= 1.0
 
@@ -132,39 +137,38 @@ class TestAffinity:
 class TestSoftUpdate:
     def test_one_hot_columns_give_hard_means(self):
         rng = np.random.default_rng(1)
-        tokens = Tensor(rng.standard_normal((1, 6, 2)))
+        tokens = rng.standard_normal((1, 6, 2))
         a = np.zeros((6, 4))
         groups = np.array([0, 1, 2, 3, 0, 1])
         a[np.arange(6), groups] = 1.0
-        centers, flagged = soft_update_centers(tokens, Tensor(a[None]),
-                                               Tensor(np.zeros((1, 4, 2))))
+        centers, flagged = soft_update_centers(tokens, a[None], np.zeros((1, 4, 2)))
         assert not flagged
         for i in range(4):
-            np.testing.assert_allclose(centers.data[0, i],
-                                       tokens.data[0, groups == i].mean(axis=0))
+            np.testing.assert_allclose(centers[0, i],
+                                       tokens[0, groups == i].mean(axis=0))
 
     def test_uniform_affinity_gives_global_mean(self):
         rng = np.random.default_rng(2)
-        tokens = Tensor(rng.standard_normal((1, 8, 3)))
-        a = Tensor(np.full((1, 8, 4), 0.25))
-        centers, _ = soft_update_centers(tokens, a, Tensor(np.zeros((1, 4, 3))))
+        tokens = rng.standard_normal((1, 8, 3))
+        a = np.full((1, 8, 4), 0.25)
+        centers, _ = soft_update_centers(tokens, a, np.zeros((1, 4, 3)))
         for i in range(4):
-            np.testing.assert_allclose(centers.data[0, i], tokens.data[0].mean(axis=0))
+            np.testing.assert_allclose(centers[0, i], tokens[0].mean(axis=0))
 
     def test_two_pixel_hand_case(self):
-        tokens = Tensor(np.array([[[1.0], [3.0]]]))
-        a = Tensor(np.array([[[0.8, 0.2], [0.2, 0.8]]]))
-        centers, _ = soft_update_centers(tokens, a, Tensor(np.zeros((1, 2, 1))))
-        np.testing.assert_allclose(centers.data.ravel(),
+        tokens = np.array([[[1.0], [3.0]]])
+        a = np.array([[[0.8, 0.2], [0.2, 0.8]]])
+        centers, _ = soft_update_centers(tokens, a, np.zeros((1, 2, 1)))
+        np.testing.assert_allclose(centers.ravel(),
                                    [(0.8 * 1 + 0.2 * 3) / 1.0, (0.2 * 1 + 0.8 * 3) / 1.0])
 
     def test_zero_mass_column_keeps_previous_center(self):
-        tokens = Tensor(np.array([[[1.0], [3.0]]]))
-        a = Tensor(np.array([[[1.0, 0.0], [1.0, 0.0]]]))
-        prev = Tensor(np.array([[[10.0], [20.0]]]))
+        tokens = np.array([[[1.0], [3.0]]])
+        a = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+        prev = np.array([[[10.0], [20.0]]])
         centers, flagged = soft_update_centers(tokens, a, prev)
         assert flagged
-        np.testing.assert_allclose(centers.data.ravel(), [2.0, 20.0])
+        np.testing.assert_allclose(centers.ravel(), [2.0, 20.0])
 
 
 class TestHardAssign:
@@ -202,21 +206,21 @@ class TestRunClustering:
         values = np.zeros((2, 4, 4))
         for (r, c), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 4.0, 8.0, 12.0]):
             values[:, 2 * r:2 * r + 2, 2 * c:2 * c + 2] = v
-        areas = run_clustering(Tensor(values[None]), 4, 1)
+        areas = run_clustering(values[None], 4, 1)
         grid = areas.label_grid()[0]
         assert len(np.unique(grid)) == 4
         for (r, c), label in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [0, 1, 2, 3]):
             assert np.all(grid[2 * r:2 * r + 2, 2 * c:2 * c + 2] == label)
 
     def test_constant_map_tie_rule(self):
-        areas = run_clustering(Tensor(np.full((1, 2, 6, 6), 1.0)), 4, 3)
+        areas = run_clustering(np.full((1, 2, 6, 6), 1.0), 4, 3)
         expected = np.array([np.nonzero(row)[0][0] for row in areas.layout.window_mask])
         np.testing.assert_array_equal(areas.labels[0], expected)
 
     def test_two_blobs_two_areas(self):
         values = np.zeros((1, 4, 8))
         values[0, :, 4:] = 10.0
-        areas = run_clustering(Tensor(values[None]), 4, 5)
+        areas = run_clustering(values[None], 4, 5)
         grid = areas.label_grid()[0]
         left = set(np.unique(grid[:, :4]))
         right = set(np.unique(grid[:, 4:]))
@@ -227,14 +231,14 @@ class TestRunClustering:
         for trial in range(10):
             f = rng.standard_normal((4, 8, 8))
             for t in (1, 3, 5):
-                areas = run_clustering(Tensor(f[None]), 4, t)
+                areas = run_clustering(f[None], 4, t)
                 labels, centers = dense_clustering_oracle(f, 4, t, areas.layout)
                 np.testing.assert_array_equal(areas.labels[0], labels)
-                np.testing.assert_allclose(areas.centers.data[0], centers, atol=1e-6)
+                np.testing.assert_allclose(areas.centers[0], centers, atol=1e-6)
 
     def test_partition_and_locality(self):
         rng = np.random.default_rng(5)
-        areas = run_clustering(Tensor(rng.standard_normal((1, 3, 8, 12))), 8, 3)
+        areas = run_clustering(rng.standard_normal((1, 3, 8, 12)), 8, 3)
         assert areas.counts.sum() == 96
         # every label inside the pixel's candidate window
         assert np.all(areas.layout.window_mask[np.arange(96), areas.labels[0]])
@@ -242,27 +246,17 @@ class TestRunClustering:
     def test_idempotent_once_stable(self):
         values = np.zeros((1, 4, 8))
         values[0, :, 4:] = 10.0
-        a5 = run_clustering(Tensor(values[None]), 4, 5)
-        a8 = run_clustering(Tensor(values[None]), 4, 8)
+        a5 = run_clustering(values[None], 4, 5)
+        a8 = run_clustering(values[None], 4, 8)
         np.testing.assert_array_equal(a5.labels, a8.labels)
 
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((4, 6, 6))
-        base = run_clustering(Tensor(f[None]), 4, 3)
-        perm = run_clustering(Tensor(f[None, [2, 0, 3, 1]]), 4, 3)
+        base = run_clustering(f[None], 4, 3)
+        perm = run_clustering(f[None, [2, 0, 3, 1]], 4, 3)
         np.testing.assert_array_equal(base.labels, perm.labels)
-        np.testing.assert_allclose(perm.centers.data, base.centers.data[:, :, [2, 0, 3, 1]])
-
-    def test_differentiable_through_soft_path(self):
-        rng = np.random.default_rng(7)
-
-        def f(x):
-            areas = run_clustering(x, 4, 2)
-            return (areas.centers * areas.centers).sum()
-
-        err = grad_check(f, Tensor(rng.standard_normal((1, 3, 6, 6))))
-        assert err < 1e-4
+        np.testing.assert_allclose(perm.centers, base.centers[:, :, [2, 0, 3, 1]])
 
     def test_batch_equals_per_image(self):
         """Three maps clustered as one batch give each map's own areas; one map
@@ -270,16 +264,121 @@ class TestRunClustering:
         rng = np.random.default_rng(8)
         f = rng.standard_normal((3, 4, 8, 8))
         f[1] = 0.5
-        batch = run_clustering(Tensor(f), 4, 3)
+        batch = run_clustering(f, 4, 3)
         assert batch.labels.shape == (3, 64) and batch.counts.shape == (3, 4)
         np.testing.assert_array_equal(batch.area_ids, batch.labels + 4 * np.arange(3)[:, None])
         for i in range(3):
-            one = run_clustering(Tensor(f[i:i + 1]), 4, 3)
+            one = run_clustering(f[i:i + 1], 4, 3)
             np.testing.assert_array_equal(batch.labels[i], one.labels[0])
             np.testing.assert_array_equal(batch.counts[i], one.counts[0])
-            np.testing.assert_allclose(batch.centers.data[i], one.centers.data[0],
+            np.testing.assert_allclose(batch.centers[i], one.centers[0],
                                        rtol=1e-14, atol=1e-15)
 
     def test_iteration_precondition(self):
         with pytest.raises(ContractError):
-            run_clustering(Tensor(np.zeros((1, 2, 4, 4))), 4, 0)
+            run_clustering(np.zeros((1, 2, 4, 4)), 4, 0)
+
+
+# -- the tape path that run_clustering replaced, kept as its reference ----------
+
+
+def _tape_exp(a):
+    out = np.exp(a.data)
+
+    def bw(g):
+        ad._accumulate(a, g * out)
+
+    return Tensor._from_op(out, (a,), "exp", bw)
+
+
+def _tape_to_tokens(features):
+    """(B, C, H, W) tensor or array -> ((B, N, C) tensor, C, H, W)."""
+    if not isinstance(features, Tensor):
+        features = Tensor(np.asarray(features))
+    if features.ndim != 4:
+        raise ContractError(f"expected (B, C, H, W) features, got {features.shape}")
+    nb, c, h, w = features.shape
+    return ad.transpose(ad.reshape(features, (nb, c, h * w)), (0, 2, 1)), c, h, w
+
+
+def _tape_init_centers(features, num_areas):
+    """Grid-cell feature means; returns (layout, (B, Z, C) centers)."""
+    tokens, _, h, w = _tape_to_tokens(features)
+    layout = make_grid(h, w, num_areas)
+    return layout, area_means(tokens, layout.cell_index, num_areas)
+
+
+def _tape_compute_affinity(tokens, centers, layout):
+    """exp(-squared euclidean distance) inside each pixel's window, zero outside.
+
+    tokens (B, N, C) and centers (B, Z, C) give (B, N, Z); the (N, Z) window
+    mask broadcasts over the batch."""
+    nb, z = centers.shape[:2]
+    sq_t = (tokens * tokens).sum(axis=2, keepdims=True)  # (B, N, 1)
+    sq_c = ad.reshape((centers * centers).sum(axis=2), (nb, 1, z))
+    cross = ad.matmul(tokens, ad.transpose(centers, (0, 2, 1)))  # (B, N, Z)
+    d2 = ad.relu(sq_t - 2.0 * cross + sq_c)  # clamp float negatives at zero distance
+    mask = Tensor(layout.window_mask.astype(tokens.dtype))
+    return _tape_exp(-d2) * mask
+
+
+def _tape_soft_update_centers(tokens, affinity, prev_centers):
+    """Affinity-weighted feature means; zero-mass clusters keep their old center.
+
+    Returns ((B, Z, C) centers, used_fallback).
+    """
+    mass = affinity.sum(axis=1)  # (B, Z)
+    mass_col = (*mass.shape, 1)
+    zero = mass.data <= 0.0
+    weighted = ad.matmul(ad.transpose(affinity, (0, 2, 1)), tokens)  # (B, Z, C)
+    if zero.any():
+        safe = mass + Tensor(zero.astype(mass.dtype))
+        fresh = weighted / ad.reshape(safe, mass_col)
+        keep = Tensor(zero.astype(mass.dtype)[..., None])
+        return keep * prev_centers + (1.0 - keep) * fresh, True
+    return weighted / ad.reshape(mass, mass_col), False
+
+
+def _tape_run_clustering(features, num_areas, iterations) -> AreaAssignment:
+    """T affinity/center rounds over (B, C, H, W) features, then one hard assignment."""
+    if iterations < 1:
+        raise ContractError(f"need at least one iteration, got {iterations}")
+    tokens = _tape_to_tokens(features)[0]
+    layout, centers = _tape_init_centers(features, num_areas)
+    affinity = None
+    used_fallback = False
+    for _ in range(iterations):
+        affinity = _tape_compute_affinity(tokens, centers, layout)
+        centers, flagged = _tape_soft_update_centers(tokens, affinity, centers)
+        used_fallback = used_fallback or flagged
+    labels, counts = hard_assign(affinity.data, layout)
+    return AreaAssignment(affinity, labels, counts, centers, layout, used_fallback)
+
+
+class TestReplacedTapePath:
+    """run_clustering on arrays against the Tensor path it replaced."""
+
+    @staticmethod
+    def _features(kind, batch, dtype):
+        rng = np.random.default_rng(31)
+        f = rng.standard_normal((batch, 5, 12, 16))
+        if kind == "fallback":
+            # cell 0 of image 0 is a +-100 checkerboard around 500: no pixel
+            # keeps any affinity to its center, so that area's mass is zero
+            f[0, :, :3, :4] = 500.0 + 100.0 * np.where(np.indices((3, 4)).sum(axis=0) % 2, 1, -1)
+        return f.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind", ["normal", "fallback"])
+    def test_same_bits_as_tape_path(self, kind, batch, dtype):
+        f = self._features(kind, batch, dtype)
+        new = run_clustering(f, 16, 3)
+        with ad.no_grad():
+            ref = _tape_run_clustering(Tensor(f), 16, 3)
+        assert new.used_fallback == ref.used_fallback == (kind == "fallback")
+        np.testing.assert_array_equal(new.labels, ref.labels)
+        np.testing.assert_array_equal(new.counts, ref.counts)
+        _assert_same_bits(new.centers, ref.centers.data)
+        _assert_same_bits(new.affinity, ref.affinity.data)
+        _assert_same_bits(init_centers(f, 16)[1], _tape_init_centers(Tensor(f), 16)[1].data)

@@ -20,9 +20,9 @@ def _manual_assignment(labels, num_areas, h, w):
     labels = np.asarray(labels)
     counts = np.bincount(labels, minlength=num_areas)
     return AreaAssignment(
-        affinity=Tensor(np.zeros((1, h * w, num_areas))),
+        affinity=np.zeros((1, h * w, num_areas)),
         labels=labels[None], counts=counts[None],
-        centers=Tensor(np.zeros((1, num_areas, 1))), layout=layout)
+        centers=np.zeros((1, num_areas, 1)), layout=layout)
 
 
 # every use_input/use_regional/use_global combination with a stream enabled

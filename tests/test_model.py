@@ -94,6 +94,17 @@ class TestForward:
         expected = (e / e.sum(axis=0)).astype(np.float32)
         assert model.predict_probabilities(img).tobytes() == expected.tobytes()
 
+    def test_features_record_no_tape(self):
+        """The map ``hsiseg areas --checkpoint`` clusters is a leaf with the
+        values of the recorded backbone-and-reduce forward."""
+        model = tiny_model()
+        img = np.random.default_rng(6).integers(0, 256, (3, 16, 16)).astype(np.uint8)
+        features = model.features(img)
+        assert features._parents == () and not features.requires_grad
+        taped = model.reduce(model.backbone.forward(model.prepare_input(img)[0])[1])
+        assert taped._parents
+        assert features.data.tobytes() == taped.data.tobytes()
+
     def test_forward_deterministic(self):
         model = tiny_model()
         rng = np.random.default_rng(5)

@@ -335,6 +335,12 @@ class TestTrain:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+def _chunk_sizes(count, size):
+    """Images per forward when ``run_inference_set`` predicts ``count`` size x size images."""
+    per = max(1, pipeline.PIXELS_PER_CHUNK // (size * size))
+    return [min(per, count - i) for i in range(0, count, per)]
+
+
 class TestInference:
     def test_probabilities_and_argmax_agree(self):
         model = _tiny_model()
@@ -379,9 +385,10 @@ class TestInference:
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("size, chunks", [(32, [4, 4, 2]), (128, [1, 1])])
+    @pytest.mark.parametrize("size, chunks", [(32, _chunk_sizes(10, 32)),
+                                              (128, _chunk_sizes(2, 128))])
     def test_chunks_match_per_image_predictions(self, monkeypatch, size, chunks):
-        """Float64: 32x32 images run four to a forward and agree with
+        """Float64: 32x32 images run several to a forward and agree with
         single-image prediction to 1e-12; 128x128 images run alone and are
         bit-identical. Two threads give the same maps, and both votes are the
         votes over the returned maps."""

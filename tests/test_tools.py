@@ -5,17 +5,35 @@ otherwise break them without failing any test.
 """
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_criterion8_sweep_runs_an_empty_range(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "criterion8_sweep", ROOT / "tools" / "criterion8_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _load("criterion8_sweep")
     sweep.main(["--first", "0", "--count", "0"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("seed  soft_oa")
     assert lines[-1] == "0 of 0 seeds below soft-voted OA 0.95: []"
+
+
+def test_ab_infer_runs_one_tree_against_itself(tmp_path, capsys):
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "hsibench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    ab = _load("ab_infer")
+    ab.main([str(tmp_path), str(tmp_path), "--workload", "scene", "--pairs", "1",
+             "--seconds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 1: A ") and lines[0].endswith("(A first)")
+    assert lines[1] in ("B faster in 0 of 1 pairs", "B faster in 1 of 1 pairs")
+    assert lines[2].startswith("A: median ") and lines[3].startswith("B: median ")
