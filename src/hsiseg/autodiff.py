@@ -434,15 +434,18 @@ def _channels_first(a):
     return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
-def _correlate(x, w):
-    """Stride-1 "same" correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) as one GEMM.
+def _columns(x, kernel_shape):
+    """The (Cin*kh*kw, B*H*W) im2col matrix of a (B, Cin, H, W) array, "same"-padded."""
+    kh, kw = kernel_shape[-2:]
+    return _im2col(_pad_same("conv2d", x, kernel_shape), kh, kw).reshape(x.shape[1] * kh * kw, -1)
 
-    Returns the (B, Cout, H, W) output and the (Cin*kh*kw, B*H*W) im2col matrix."""
-    cout, cin, kh, kw = w.shape
+
+def _correlate(x, w):
+    """Stride-1 "same" correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) as one
+    GEMM; returns a (B, Cout, H, W) array of its own."""
     nb, _, h, width = x.shape
-    col = _im2col(_pad_same("conv2d", x, w.shape), kh, kw).reshape(cin * kh * kw, -1)
-    out = (w.reshape(cout, -1) @ col).reshape(cout, nb, h, width)
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), col
+    out = (w.reshape(w.shape[0], -1) @ _columns(x, w.shape)).reshape(-1, nb, h, width)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def _check_images(op, x):
@@ -450,30 +453,39 @@ def _check_images(op, x):
         raise ContractError(f"{op}: expected a (B, C, H, W) input, got {x.shape}")
 
 
-def conv2d(x, w, b=None):
-    """Stride-1 "same" convolution: x (B, Cin, H, W), w (Cout, Cin, kh, kw), odd kh, kw."""
+def conv2d(x, w, b=None, relu=False):
+    """Stride-1 "same" convolution: x (B, Cin, H, W), w (Cout, Cin, kh, kw), odd kh, kw.
+
+    ``relu=True`` applies a ReLU to the output in place, so the tape holds no
+    pre-activation. The node keeps only its inputs and output: the backward
+    rebuilds the im2col matrix from ``x``."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ContractError(f"conv2d: input {x.shape} does not match weight {w.shape}")
-    out, col = _correlate(x.data, w.data)
+    out = _correlate(x.data, w.data)
     if b is not None:
-        out = out + b.data[:, None, None]
+        out += b.data[:, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bw(g):
+        if relu:
+            g = g * (out > 0)  # out > 0 exactly where the pre-activation is positive
+        col = _columns(x.data, w.shape)
         _accumulate(w, (_channels_first(g) @ col.T).reshape(w.shape))
+        del col  # before the input gradient builds the im2col matrix of g
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             # at stride 1, dx correlates g with the flipped, in/out-transposed kernel
-            _accumulate(x, _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0])
+            _accumulate(x, _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._from_op(out, parents, "conv2d", bw)
 
 
 def _depthwise_correlate(x, w):
-    """Per-channel stride-1 "same" correlation of (B, C, H, W) with (C, kh, kw).
-
-    One shifted multiply-add per tap; returns the output and the padded input."""
+    """Per-channel stride-1 "same" correlation of (B, C, H, W) with (C, kh, kw),
+    one shifted multiply-add per tap."""
     h, width = x.shape[2:]
     _, kh, kw = w.shape
     xp = _pad_same("depthwise_conv2d", x, w.shape)
@@ -481,25 +493,28 @@ def _depthwise_correlate(x, w):
     for i in range(kh):
         for j in range(kw):
             out += w[:, i, j, None, None] * xp[:, :, i:i + h, j:j + width]
-    return out, xp
+    return out
 
 
 def depthwise_conv2d(x, w, b=None):
-    """Per-channel stride-1 "same" convolution: x (B, C, H, W), w (C, kh, kw), odd kh, kw."""
+    """Per-channel stride-1 "same" convolution: x (B, C, H, W), w (C, kh, kw), odd kh, kw.
+
+    Like ``conv2d``, the backward re-pads ``x`` rather than holding the padded copy."""
     if x.ndim != 4 or w.ndim != 3 or x.shape[1] != w.shape[0]:
         raise ContractError(f"depthwise_conv2d: input {x.shape} vs weight {w.shape}")
-    out, xp = _depthwise_correlate(x.data, w.data)
+    out = _depthwise_correlate(x.data, w.data)
     if b is not None:
-        out = out + b.data[:, None, None]
+        out += b.data[:, None, None]
 
     def bw(g):
         c, kh, kw = w.shape
+        xp = _pad_same("depthwise_conv2d", x.data, w.shape)
         dw = _im2col(xp, kh, kw) @ _channels_first(g)[:, :, None]
         _accumulate(w, dw.reshape(w.shape))
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            _accumulate(x, _depthwise_correlate(g, w.data[:, ::-1, ::-1])[0])
+            _accumulate(x, _depthwise_correlate(g, w.data[:, ::-1, ::-1]))
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._from_op(out, parents, "depthwise_conv2d", bw)

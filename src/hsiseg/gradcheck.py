@@ -160,6 +160,18 @@ def batched_image_programs():
         (lambda x: (ad.sample_bilinear(x, ys, xs, 2) * wsb).sum()), \
         Tensor(rng.standard_normal((2, 2, 3, 4)))
 
+    # every pre-activation of the fused ReLU stays 0.07 or more from its kink:
+    # the centre tap of input channel 0 (|w| >= 0.5, |x| >= 0.5) outweighs the
+    # other 17 taps (|w| <= 0.005, |x| <= 1.5) and the bias (|b| <= 0.05)
+    rng = np.random.default_rng(20261106)
+    kern = rng.uniform(-0.005, 0.005, (3, 2, 3, 3))
+    kern[:, 0, 1, 1] = _kink_free(rng, 3, 0.5)
+    bias = Tensor(rng.uniform(-0.05, 0.05, 3), requires_grad=True)
+    wconv = _coeff(rng, (2, 3, 4, 5))
+    yield "conv2d_relu_batched", \
+        (lambda x, w, b: (ad.conv2d(x, w, b, relu=True) * wconv).sum()), \
+        [Tensor(_kink_free(rng, (2, 2, 4, 5), 0.5)), Tensor(kern, requires_grad=True), bias]
+
 
 def encoder_program(rng):
     cfg = AttentionConfig(channels=8, heads=2)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .dcm import DualContextModule
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .formats import LabelMap, load_checkpoint, save_checkpoint
 from .nn import Module, uniform_init
 
@@ -48,14 +48,17 @@ class BackboneConfig:
 
 
 class Conv3x3(Module):
-    def __init__(self, in_ch, out_ch, rng, dtype, group, name):
+    """3x3 "same" convolution with bias; ``relu=True`` fuses a ReLU into it."""
+
+    def __init__(self, in_ch, out_ch, rng, dtype, group, name, relu=False):
         fan_in = in_ch * 9
         self.weight = Parameter(uniform_init(rng, (out_ch, in_ch, 3, 3), fan_in, dtype),
                                 group=group, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(out_ch, dtype), group=group, name=f"{name}.bias")
+        self.relu = relu
 
     def __call__(self, x):
-        return ad.conv2d(x, self.weight, self.bias)
+        return ad.conv2d(x, self.weight, self.bias, relu=self.relu)
 
 
 class Backbone(Module):
@@ -69,7 +72,7 @@ class Backbone(Module):
             stage = []
             for ci in range(depth):
                 stage.append(Conv3x3(prev, width, rng, dtype, "backbone",
-                                     f"backbone.stage{si + 1}.conv{ci}"))
+                                     f"backbone.stage{si + 1}.conv{ci}", relu=True))
                 prev = width
             self.stages.append(stage)
 
@@ -79,7 +82,7 @@ class Backbone(Module):
         stage3 = None
         for si, stage in enumerate(self.stages):
             for conv in stage:
-                h = ad.relu(conv(h))
+                h = conv(h)
             if si < 2:
                 h = ad.maxpool2d(h, 2)
             if si == 2:
@@ -242,9 +245,10 @@ class DualContextNet(Module):
     def load(self, path, strict=True):
         """Load parameters by name. ``strict=False`` fills whatever names the
         file provides (e.g. an externally converted backbone) and returns the
-        names that stayed at their initialization."""
+        names that stayed at their initialization. Every parameter is checked
+        before any is replaced, so a rejected file leaves the net as it was."""
         loaded = load_checkpoint(path)
-        missing = []
+        missing, accepted = [], []
         for name, p in self.named_parameters():
             if name not in loaded:
                 if strict:
@@ -255,5 +259,9 @@ class DualContextNet(Module):
             if arr.shape != p.data.shape:
                 raise ContractError(
                     f"checkpoint parameter {name} has shape {arr.shape}, expected {p.data.shape}")
+            if not np.isfinite(arr).all():
+                raise DataError(f"checkpoint parameter {name} holds non-finite values")
+            accepted.append((p, arr))
+        for p, arr in accepted:
             p.data = arr.astype(self.dtype)
         return missing

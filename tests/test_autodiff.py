@@ -348,6 +348,51 @@ def _gather_bilinear_upsample(x, factor):
     return Tensor._from_op(out, (x,), "bilinear_upsample", bw)
 
 
+# conv2d before its backward rebuilt the im2col matrix: the node held ``col``
+# from the forward until backward ran.
+
+
+def _col_correlate(x, w):
+    """Stride-1 "same" correlation of (B, Cin, H, W) with (Cout, Cin, kh, kw) as one GEMM.
+
+    Returns the (B, Cout, H, W) output and the (Cin*kh*kw, B*H*W) im2col matrix."""
+    cout, cin, kh, kw = w.shape
+    nb, _, h, width = x.shape
+    col = ad._im2col(ad._pad_same("conv2d", x, w.shape), kh, kw).reshape(cin * kh * kw, -1)
+    out = (w.reshape(cout, -1) @ col).reshape(cout, nb, h, width)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), col
+
+
+def _col_conv2d(x, w, b=None):
+    """Stride-1 "same" convolution: x (B, Cin, H, W), w (Cout, Cin, kh, kw), odd kh, kw."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ContractError(f"conv2d: input {x.shape} does not match weight {w.shape}")
+    out, col = _col_correlate(x.data, w.data)
+    if b is not None:
+        out = out + b.data[:, None, None]
+
+    def bw(g):
+        ad._accumulate(w, (ad._channels_first(g) @ col.T).reshape(w.shape))
+        if b is not None:
+            ad._accumulate(b, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            # at stride 1, dx correlates g with the flipped, in/out-transposed kernel
+            ad._accumulate(x, _col_correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0])
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._from_op(out, parents, "conv2d", bw)
+
+
+def _conv_value_and_grads(op, x, w, b, x_grad, cotangent_seed):
+    """Output and the x, w, b gradients (None where not asked) of ``op``."""
+    leaves = [Tensor(x.copy(), requires_grad=x_grad), Tensor(w.copy(), requires_grad=True),
+              None if b is None else Tensor(b.copy(), requires_grad=True)]
+    out = op(*leaves)
+    g = np.random.default_rng(cotangent_seed).standard_normal(out.shape).astype(x.dtype)
+    (out * Tensor(g)).sum().backward()
+    return [out.data] + [None if t is None else t.grad for t in leaves]
+
+
 def _value_and_grad(op, x, cotangent_seed):
     leaf = Tensor(x.copy(), requires_grad=True)
     out = op(leaf)
@@ -363,7 +408,7 @@ def _assert_same_bits(actual, expected):
 
 
 class TestReplacedKernels:
-    """maxpool2d and bilinear_upsample against the kernels they replaced."""
+    """maxpool2d, bilinear_upsample and conv2d against the kernels they replaced."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape,size", [((1, 2, 4, 6), 2), ((3, 3, 8, 10), 2),
@@ -398,6 +443,35 @@ class TestReplacedKernels:
         _assert_same_bits(new_out, ref_out)
         assert new_grad.dtype == dtype
         np.testing.assert_allclose(new_grad, ref_grad, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_conv2d_matches_col_holding_kernel(self, dtype, batch, bias, x_grad, relu):
+        """Outputs and gradients are bit-identical to the kernel that held its
+        im2col matrix; ``relu=True`` matches it followed by ``ad.relu``. An
+        input without ``requires_grad`` is the network's first layer."""
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((batch, 3, 6, 7)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype) if bias else None
+
+        def ref(x, w, b):
+            out = _col_conv2d(x, w, b)
+            return ad.relu(out) if relu else out
+
+        new = _conv_value_and_grads(lambda x, w, b: ad.conv2d(x, w, b, relu=relu),
+                                    x, w, b, x_grad, 7)
+        old = _conv_value_and_grads(ref, x, w, b, x_grad, 7)
+        if relu:
+            assert 0 < (new[0] > 0).mean() < 1
+        for actual, expected in zip(new, old):
+            if expected is None:
+                assert actual is None
+            else:
+                _assert_same_bits(actual, expected)
 
     def test_upsample_writes_class_planes(self):
         out = ad.bilinear_upsample(Tensor(np.zeros((2, 3, 5, 7))), 4).data

@@ -1,6 +1,7 @@
 """Network assembly: backbone strides, forward shapes, loss analytics."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import hsiseg.autodiff as ad
 from hsiseg.autodiff import SGD, Tensor
-from hsiseg.errors import ConfigError, ContractError
+from hsiseg.errors import ConfigError, ContractError, DataError
 from hsiseg.model import Backbone, BackboneConfig, DualContextNet
 
 
@@ -304,6 +305,31 @@ class TestStrideFourLoss:
         assert foreign == []
 
 
+class TestTapeMemory:
+    def test_desk_tape_holds_no_im2col(self):
+        """The tape of a 64x64 desk-net image keeps each conv's input, not its
+        im2col matrix (nine times the input), and no pre-activation of the
+        backbone's ReLUs. Measured 8.9 MB after the forward and an 11.2 MB
+        backward peak when the convs held their im2col, 3.4 and 5.7 MB since."""
+        rng = np.random.default_rng(41)
+        image = rng.integers(0, 256, (3, 64, 64)).astype(np.uint8)
+        labels = random_labels(rng, 64, 64, 200, 9)
+        model = desk_model(np.float32)
+        model.loss_on(image, labels).backward()  # first-call allocations
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            loss = model.loss_on(image, labels)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 6e6, f"tape holds {held / 1e6:.2f} MB after the forward"
+        assert peak < 8.5e6, f"backward peaks at {peak / 1e6:.2f} MB"
+
+
 def four_images():
     """Four 32x32 images whose desk-net forward passes have 14, 16, 16 and 15
     live areas at float64; the first has two empty areas, and the third is
@@ -451,6 +477,24 @@ class TestPersistence:
         clone.load(path)
         np.testing.assert_array_equal(model.predict_probabilities(img),
                                       clone.predict_probabilities(img))
+
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_parameter_rejected_by_name(self, tmp_path, index, bad):
+        """The error names the parameter, and no parameter is replaced."""
+        from hsiseg.formats import save_checkpoint
+
+        rows = [(name, p.data.copy())
+                for name, p in tiny_model(seed=11, dtype=np.float32).named_parameters()]
+        name, arr = rows[index]
+        arr.flat[-1] = bad
+        save_checkpoint(rows, tmp_path / "bad.ckpt")
+        target = tiny_model(seed=12, dtype=np.float32)
+        before = [p.data.copy() for p in target.parameters()]
+        with pytest.raises(DataError, match=f"parameter {name} holds non-finite"):
+            target.load(tmp_path / "bad.ckpt")
+        for p, data in zip(target.parameters(), before):
+            np.testing.assert_array_equal(p.data, data)
 
     def test_partial_backbone_import(self, tmp_path):
         """A checkpoint holding only backbone weights loads with strict=False,

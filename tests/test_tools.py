@@ -5,6 +5,7 @@ otherwise break them without failing any test.
 """
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -26,14 +27,24 @@ def test_criterion8_sweep_runs_an_empty_range(capsys):
     assert lines[-1] == "0 of 0 seeds below soft-voted OA 0.95: []"
 
 
-def test_ab_infer_runs_one_tree_against_itself(tmp_path, capsys):
+def _ab_one_tree_against_itself(tmp_path, capsys, *options):
     skip = shutil.ignore_patterns("__pycache__", "out")
     for name in ("src", "hsibench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
     ab = _load("ab_infer")
-    ab.main([str(tmp_path), str(tmp_path), "--workload", "scene", "--pairs", "1",
-             "--seconds", "0"])
+    ab.main([str(tmp_path), str(tmp_path), *options, "--pairs", "1", "--seconds", "0"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("pair 1: A ") and lines[0].endswith("(A first)")
+    assert re.fullmatch(r"pair 1: A [\d.]+ images/s [\d.]+ MB  B [\d.]+ images/s [\d.]+ MB"
+                        r"  \(A first\)", lines[0])
     assert lines[1] in ("B faster in 0 of 1 pairs", "B faster in 1 of 1 pairs")
-    assert lines[2].startswith("A: median ") and lines[3].startswith("B: median ")
+    for side, line in zip("AB", lines[2:4]):
+        assert re.fullmatch(side + r": median [\d.]+ images/s, IQR 0\.0 \([\d.]+-[\d.]+\); "
+                            r"peak RSS median [\d.]+ MB, IQR 0\.0", line)
+
+
+def test_ab_infer_runs_one_tree_against_itself(tmp_path, capsys):
+    _ab_one_tree_against_itself(tmp_path, capsys, "--workload", "scene")
+
+
+def test_ab_infer_times_the_training_schedule(tmp_path, capsys):
+    _ab_one_tree_against_itself(tmp_path, capsys, "--workload", "ensemble", "--op", "train")
