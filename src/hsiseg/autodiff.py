@@ -88,9 +88,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -719,25 +716,30 @@ def poly_lr(initial, iteration, max_iter, power=0.9):
 # -- finite-difference verification --------------------------------------------------------------
 
 
+def tape(out):
+    """Yield every node of the tape below ``out`` once, depth first from ``out``."""
+    stack = [out]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(node._parents)
+
+
 def nonfinite_op(out):
     """Walk the tape below ``out``; name the op that introduced non-finite values.
 
     Returns None when every value on the tape is finite. The op is the deepest
     offender: a node with non-finite output from finite inputs. A named
     parameter that holds non-finite values is reported by its name."""
-    stack = [out]
-    seen = set()
     culprit = None
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in tape(out):
         if not np.all(np.isfinite(node.data)):
             culprit = node
             if all(np.all(np.isfinite(p.data)) for p in node._parents):
                 break
-        stack.extend(node._parents)
     if culprit is None:
         return None
     name = getattr(culprit, "name", "")

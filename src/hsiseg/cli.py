@@ -195,12 +195,11 @@ def _cmd_areas(args):
 
 
 def _cmd_gradcheck(args):
-    rows = full_report(seed=args.seed or 0)
-    worst = 0.0
-    for name, err in rows:
-        print(f"{name:<32} {err:.3e}")
-        worst = max(worst, err)
-    print(f"{'worst':<32} {worst:.3e}")
+    rows = full_report(seed=args.seed)
+    worst = max(err for _, err in rows)
+    width = max(len(name) for name, _ in rows)
+    for name, err in rows + [("worst", worst)]:
+        print(f"{name:<{width}} {err:.3e}")
     return 0 if worst < 1e-4 else 1
 
 

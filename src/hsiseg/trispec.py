@@ -8,6 +8,7 @@ mapping the pooled 2nd..98th percentile range onto [0, 255].
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -68,22 +69,17 @@ def group_and_aggregate(cube: HsiCube, groups: int) -> GroupedCube:
 
 
 def compute_capacity(groups: int) -> int:
-    """Number of distinct descending triplets: G (G-1) (G-2) / 6."""
+    """Number of distinct descending triplets: G choose 3."""
     if groups < 3:
         raise ConfigError(f"capacity undefined for {groups} groups")
-    return groups * (groups - 1) * (groups - 2) // 6
+    return math.comb(groups, 3)
 
 
 def enumerate_triplets(groups: int):
     """All 3-combinations of 1..G in descending lexicographic order."""
     if groups < 3:
         raise ConfigError(f"need at least 3 groups, got {groups}")
-    out = []
-    for g1 in range(groups, 2, -1):
-        for g2 in range(g1 - 1, 1, -1):
-            for g3 in range(g2 - 1, 0, -1):
-                out.append(BandTriplet(g1, g2, g3))
-    return out
+    return [BandTriplet(*t) for t in itertools.combinations(range(groups, 0, -1), 3)]
 
 
 def render_raw(gc: GroupedCube, triplet: BandTriplet, wavelength_descending=False):

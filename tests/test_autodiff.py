@@ -648,15 +648,103 @@ class TestGradCheckHarness:
 
 class TestPrimitiveGradients:
     def test_every_primitive_at_ten_random_points(self):
-        """Tape gradients match central differences for all primitives,
-        resampled at ten seeds (inputs drawn away from relu/maxpool kinks)."""
-        from hsiseg.gradcheck import primitive_programs
+        """Tape gradients match central differences for all primitive rows,
+        resampled at ten seeds (rows drawn again near relu/maxpool kinks)."""
+        from hsiseg.gradcheck import programs
+
+        for seed in range(1000, 1010):
+            for name, f, xs in programs(seed):
+                if name.startswith("primitive."):
+                    err = grad_check(f, xs)
+                    assert err < 1e-4, f"{name} at seed {seed}: error {err:.2e}"
+
+
+BLOCK_ROWS = {"encoder_layer", "decoder_layer", "dcm_block", "model_loss"}
+
+
+class TestGradcheckTable:
+    def test_seed_reaches_every_row(self):
+        from hsiseg.gradcheck import ROWS, programs
+
+        pairs = list(zip(programs(0), programs(1)))
+        assert len(pairs) == len(ROWS)
+        for (name, _, xs0), (_, _, xs1) in pairs:
+            assert not np.array_equal(xs0[0].data, xs1[0].data), name
+
+    def test_rows_draw_independently_of_the_table(self, monkeypatch):
+        """Deleting or reordering rows changes no other row's draws."""
+        from hsiseg import gradcheck
+
+        full = {name: xs for name, _, xs in gradcheck.programs(3)}
+        monkeypatch.setattr(gradcheck, "ROWS", gradcheck.ROWS[::-2])
+        for name, _, xs in gradcheck.programs(3):
+            for a, b in zip(xs, full[name], strict=True):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_every_recorded_op_has_its_row(self):
+        """Each op name the engine records appears on the tape of its own
+        primitive row."""
+        import inspect
+        import re
+
+        from hsiseg.gradcheck import programs
+
+        recorded = set(re.findall(r'_from_op\(.*"(\w+)"', inspect.getsource(ad)))
+        assert recorded == {
+            "add", "sub", "mul", "div", "relu", "transpose", "reshape", "concat", "sum",
+            "matmul", "softmax", "log_softmax", "layernorm", "conv2d", "depthwise_conv2d",
+            "maxpool2d", "bilinear_upsample", "sample_bilinear", "gather_rows", "scatter_mean"}
+        tapes = {name: {node._op for node in ad.tape(f(*xs))} for name, f, xs in programs(0)}
+        for op in recorded:
+            assert op in tapes[f"primitive.{op}"], op
+
+    def test_kink_distance_sees_every_kink(self):
+        from hsiseg.gradcheck import kink_distance
+
+        x = Tensor(np.array([[0.5, -3e-5], [2.0, 1.0]]), requires_grad=True)
+        assert kink_distance(ad.relu(x)) == pytest.approx(3e-5)
+        img = Tensor(np.array([1.0, 1.00002, -1.0, 0.3]).reshape(1, 1, 2, 2), requires_grad=True)
+        assert kink_distance(ad.maxpool2d(img, 2)) == pytest.approx(2e-5)
+        w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        fused = ad.conv2d(img, w, Tensor(np.array([-0.99995])), relu=True)
+        assert kink_distance(fused) == pytest.approx(5e-5)  # the pre-activation 1 - 0.99995
+        # a window of ReLU-clamped zeros stays tied under any probe
+        neg = Tensor(-1.0 - np.arange(4.0).reshape(1, 1, 2, 2), requires_grad=True)
+        assert kink_distance(ad.maxpool2d(ad.relu(neg), 2)) == 1.0
+
+    def test_row_that_stays_on_a_kink_fails(self, monkeypatch):
+        from hsiseg import gradcheck
+        from hsiseg.errors import GradCheckError
+
+        def on_kink(rng):
+            return (lambda x: ad.relu(x * 0.0)), [(2,)], []
+
+        monkeypatch.setattr(gradcheck, "ROWS", [("on_kink", on_kink)])
+        with pytest.raises(GradCheckError, match="on_kink"):
+            gradcheck.full_report()
+
+    def test_block_rows_keep_relu_inputs_clear_of_the_kink(self):
+        """Forward only, at ten seeds: every ReLU input of the block rows, the
+        fused ReLUs of the backbone's convs included, lies at least
+        KINK_MARGIN from zero."""
+        from hsiseg.gradcheck import KINK_MARGIN, programs
 
         for seed in range(10):
-            rng = np.random.default_rng(1000 + seed)
-            for name, f, xs in primitive_programs(rng):
-                err = grad_check(f, xs)
-                assert err < 1e-4, f"{name} at seed {seed}: error {err:.2e}"
+            for name, f, xs in programs(seed):
+                if name not in BLOCK_ROWS:
+                    continue
+                relus = 0
+                for node in ad.tape(f(*xs)):
+                    if node._op == "relu":
+                        pre = node._parents[0].data
+                    elif node._op == "conv2d" and node._parents[1].name.startswith("backbone."):
+                        with ad.no_grad():
+                            pre = ad.conv2d(*node._parents).data
+                    else:
+                        continue
+                    relus += 1
+                    assert np.abs(pre).min() >= KINK_MARGIN, f"{name} at seed {seed}"
+                assert relus, name
 
 
 class TestNoGrad:

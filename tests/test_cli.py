@@ -294,3 +294,20 @@ class TestSeededReproducibility:
                              "--out", str(target)]) == 0
         for name in ("scene.hsc", "truth.lbl", "train.lbl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestGradcheck:
+    @pytest.mark.parametrize("worst, status", [(9e-5, 0), (1e-4, 1)])
+    def test_report_aligned_and_gated(self, monkeypatch, capsys, worst, status):
+        """The name column fits the longest name, the seed is passed on, and
+        the exit status gates the worst error at 1e-4."""
+        import hsiseg.cli as cli
+
+        rows = [("short", 1e-9), ("primitive.a_name_longer_than_thirty_two", worst)]
+        seeds = []
+        monkeypatch.setattr(cli, "full_report", lambda seed: seeds.append(seed) or rows)
+        assert dispatch(["gradcheck", "--seed", "7"]) == status
+        lines = capsys.readouterr().out.splitlines()
+        assert seeds == [7]
+        assert len({line.rindex(" ") for line in lines}) == 1
+        assert lines[-1].split() == ["worst", f"{worst:.3e}"]

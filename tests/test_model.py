@@ -292,17 +292,9 @@ class TestStrideFourLoss:
         labels = random_labels(rng, 32, 32, 60, 9)
         model = desk_model(np.float32)
         loss = model.loss_on(image, labels)
-        seen, stack, foreign = set(), [loss], []
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node._parents and node.dtype != model.dtype:
-                foreign.append(node._op)
-            stack.extend(node._parents)
-        assert {id(p) for p in model.parameters()} <= seen
-        assert foreign == []
+        nodes = list(ad.tape(loss))
+        assert {id(p) for p in model.parameters()} <= {id(node) for node in nodes}
+        assert [node._op for node in nodes if node._parents and node.dtype != model.dtype] == []
 
 
 class TestTapeMemory:
