@@ -3,7 +3,9 @@
 A small tape-based engine in the micrograd tradition: every operation
 returns a new Tensor whose closure knows how to route the upstream
 gradient to its inputs. The tape is the implicit DAG of ``_parents``
-links; ``backward`` walks it once in reverse topological order.
+links. ``tape`` is its one walk: every node once, each before its parents.
+``backward`` runs the closures in that order, and the non-finite and kink
+probes read the same list.
 
 Everything runs on the CPU in whatever float dtype the caller supplies.
 Training defaults to float32 for throughput; finite-difference
@@ -105,23 +107,8 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:  # iterative DFS; deep tapes overflow Python recursion
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
         _accumulate(self, np.ones_like(self.data))
-        for node in reversed(topo):
+        for node in tape(self):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
@@ -717,15 +704,26 @@ def poly_lr(initial, iteration, max_iter, power=0.9):
 
 
 def tape(out):
-    """Yield every node of the tape below ``out`` once, depth first from ``out``."""
-    stack = [out]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            yield node
-            stack.extend(node._parents)
+    """Every node below ``out`` once, each before its parents: the reverse of a
+    depth-first post-order from ``out``. This is the one walk of the tape;
+    ``backward`` runs the closures in this order."""
+    post = []
+    visited = set()
+    stack = [(out, False)]
+    while stack:  # iterative DFS; deep tapes overflow Python recursion
+        node, expanded = stack.pop()
+        if expanded:
+            post.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    post.reverse()
+    return post
 
 
 def nonfinite_op(out):

@@ -19,7 +19,7 @@ import numpy as np
 from . import pipeline, trispec
 from .cluster import run_clustering
 from .config import Config, describe_defaults, dump_config, load_config
-from .errors import ConfigError
+from .errors import ConfigError, GradCheckError
 from .formats import (
     LabelMap,
     labels_to_image,
@@ -281,7 +281,7 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, GradCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

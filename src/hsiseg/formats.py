@@ -350,6 +350,8 @@ def load_checkpoint(path):
     for _ in range(count):
         (nlen,) = u32s(1)
         name = bytes(take(nlen)).decode("utf-8")
+        if name in out:
+            raise FormatError(f"checkpoint holds parameter {name!r} twice")
         (rank,) = u32s(1)
         shape = u32s(rank)
         out[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()

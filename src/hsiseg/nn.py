@@ -134,10 +134,10 @@ class MultiHeadAttention(Module):
         self.wo = Parameter(uniform_init(rng, (c, c), c, dtype), name=f"{prefix}.wo")
         self.bo = Parameter(np.zeros(c, dtype), name=f"{prefix}.bo")
 
-    def _split_heads(self, x, w, b, axes=(0, 2, 1, 3)):
-        """(B, N, C) tokens -> per-head projections, (B, h, N, d) by default."""
+    def _split_heads(self, x, w, b):
+        """(B, N, C) tokens -> per-head projections, (B, h, N, d)."""
         shape = (*x.shape[:2], self.cfg.heads, self.cfg.head_dim)
-        return ad.transpose(ad.reshape(ad.matmul(x, w) + b, shape), axes)
+        return ad.transpose(ad.reshape(ad.matmul(x, w) + b, shape), (0, 2, 1, 3))
 
     def __call__(self, x_q, x_kv, key_mask=None, groups=None):
         """(B, Nq, C) queries and (B, Nk, C) keys/values -> (B, Nq, C).
@@ -171,22 +171,22 @@ class MultiHeadAttention(Module):
         """(B, N, C) tokens -> (B, N, C) joined heads, each token attending within its group.
 
         The batch's tokens are one sequence of n = B*N rows. q/k/v are
-        projected once and laid out as (h*n, d) rows, so one gather per
-        bucket yields (Zb, h, Lb, d) directly; the padded keys are masked and
-        the padded queries are never read back.
+        projected once and viewed token-major as (n*h, d) rows, row t*h + i
+        holding head i of token t, so one gather per bucket yields
+        (Zb, h, Lb, d) directly; the padded keys are masked and the padded
+        queries are never read back.
         """
         nb, n_img, c = x.shape
         n, h, d = nb * n_img, self.cfg.heads, self.cfg.head_dim
         if groups.shape != (nb, n_img):
             raise ContractError(f"attention groups {groups.shape} for tokens {x.shape[:2]}")
-        rows = [ad.reshape(self._split_heads(x, w, b, (2, 0, 1, 3)), (h * n, d))
+        rows = [ad.reshape(ad.matmul(x, w) + b, (n * h, d))
                 for w, b in ((self.wq, self.bq), (self.wk, self.bk), (self.wv, self.bv))]
-        head_rows = np.arange(h)[:, None] * n  # (h, 1): first row of each head
         slot = np.empty((n, h), dtype=np.intp)  # where each token's heads land
         pieces, filled = [], 0
         for tokens, mask in group_buckets(groups.ravel()):
             zb, lb = tokens.shape
-            index = tokens[:, None, :] + head_rows  # (Zb, h, Lb)
+            index = tokens[:, None, :] * h + np.arange(h)[:, None]  # (Zb, h, Lb)
             out = attention_head(*(ad.gather_rows(r, index) for r in rows),
                                  key_mask=mask[:, None, None, :])
             pieces.append(ad.reshape(out, (zb * h * lb, d)))
@@ -213,7 +213,7 @@ class Mlp(Module):
 
 
 class _Norm(Module):
-    def __init__(self, channels, rng, dtype, name):
+    def __init__(self, channels, dtype, name):
         self.gamma = Parameter(np.ones(channels, dtype), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels, dtype), name=f"{name}.beta")
 
@@ -231,8 +231,8 @@ class TransformerEncoderLayer(Module):
     def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="layer"):
         self.attn = MultiHeadAttention(cfg, rng, dtype, prefix=f"{prefix}.attn")
         self.mlp = Mlp(cfg, rng, dtype, prefix=f"{prefix}.mlp")
-        self.norm1 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm1")
-        self.norm2 = _Norm(cfg.channels, rng, dtype, f"{prefix}.norm2")
+        self.norm1 = _Norm(cfg.channels, dtype, f"{prefix}.norm1")
+        self.norm2 = _Norm(cfg.channels, dtype, f"{prefix}.norm2")
 
     def __call__(self, x, pos=None, key_mask=None, groups=None):
         base = x + pos if pos is not None else x

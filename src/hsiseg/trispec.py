@@ -19,17 +19,6 @@ from .errors import ConfigError, ContractError, DataError, FormatError
 from .formats import HsiCube, read_ppm, write_atomic, write_ppm
 
 
-@dataclass
-class GroupedCube:
-    """G spectral-group mean planes, group index ascending with wavelength."""
-
-    planes: np.ndarray  # (G, H, W) float64
-
-    @property
-    def groups(self):
-        return self.planes.shape[0]
-
-
 @dataclass(frozen=True)
 class BandTriplet:
     """1-based group indices in strictly descending order; g1 has the longest wavelength."""
@@ -56,16 +45,16 @@ class TriSpectralSet:
         return len(self.images)
 
 
-def group_and_aggregate(cube: HsiCube, groups: int) -> GroupedCube:
-    """Mean-collapse each of ``groups`` equal sequential band runs to one plane."""
+def group_and_aggregate(cube: HsiCube, groups: int) -> np.ndarray:
+    """Mean-collapse each of ``groups`` equal sequential band runs to one plane:
+    a (G, H, W) float64 array, group index ascending with wavelength."""
     if groups < 3:
         raise ConfigError(f"need at least 3 groups, got {groups}")
     if cube.bands % groups != 0:
         raise ConfigError(f"{cube.bands} bands are not divisible into {groups} groups")
     run = cube.bands // groups
     v = cube.values.astype(np.float64)
-    planes = v.reshape(groups, run, cube.height, cube.width).mean(axis=1)
-    return GroupedCube(planes)
+    return v.reshape(groups, run, cube.height, cube.width).mean(axis=1)
 
 
 def compute_capacity(groups: int) -> int:
@@ -82,18 +71,18 @@ def enumerate_triplets(groups: int):
     return [BandTriplet(*t) for t in itertools.combinations(range(groups, 0, -1), 3)]
 
 
-def render_raw(gc: GroupedCube, triplet: BandTriplet, wavelength_descending=False):
-    """Stack the triplet's planes channel-first, longest wavelength as channel 0.
+def render_raw(planes: np.ndarray, triplet: BandTriplet, wavelength_descending=False):
+    """Stack the triplet's (G, H, W) ``planes`` channel-first, longest wavelength as channel 0.
 
     ``wavelength_descending`` flips the convention for cubes whose band index
     decreases with wavelength.
     """
-    if triplet.g1 > gc.groups:
-        raise ContractError(f"triplet {triplet} exceeds {gc.groups} groups")
+    if triplet.g1 > planes.shape[0]:
+        raise ContractError(f"triplet {triplet} exceeds {planes.shape[0]} groups")
     order = (triplet.g1, triplet.g2, triplet.g3)
     if wavelength_descending:
         order = order[::-1]
-    return np.stack([gc.planes[g - 1] for g in order])
+    return np.stack([planes[g - 1] for g in order])
 
 
 def linear_stretch(raw):
@@ -123,11 +112,11 @@ def linear_stretch(raw):
 
 def generate_set(cube: HsiCube, groups: int, out_dir=None, wavelength_descending=False) -> TriSpectralSet:
     """Run the full pipeline; optionally persist images and manifest to ``out_dir``."""
-    gc = group_and_aggregate(cube, groups)
+    planes = group_and_aggregate(cube, groups)
     triplets = enumerate_triplets(groups)
     images, flags = [], []
     for t in triplets:
-        img, degenerate = linear_stretch(render_raw(gc, t, wavelength_descending))
+        img, degenerate = linear_stretch(render_raw(planes, t, wavelength_descending))
         images.append(img)
         flags.append(degenerate)
     ts = TriSpectralSet(images, triplets, flags)

@@ -11,3 +11,11 @@ def zero_parameters(block, suffixes=OUTPUT_PROJECTIONS):
     for p in block.parameters():
         if p.name.endswith(suffixes):
             p.data[:] = 0
+
+
+def assert_consumers_first(nodes):
+    """Every node of ``nodes`` is listed once and before each of its parents."""
+    position = {id(node): i for i, node in enumerate(nodes)}
+    assert len(position) == len(nodes)
+    for i, node in enumerate(nodes):
+        assert all(position[id(p)] > i for p in node._parents)

@@ -13,6 +13,8 @@ from hsiseg.autodiff import (
 )
 from hsiseg.errors import ConfigError, ContractError
 
+from helpers import assert_consumers_first
+
 
 class TestForwardExamples:
     def test_softmax_symmetry(self):
@@ -106,6 +108,17 @@ class TestBackward:
         z = (y + y).sum()
         z.backward()
         np.testing.assert_allclose(x.grad, 4 * x.data)
+
+    def test_tape_lists_each_node_before_its_parents(self):
+        """A diamond whose shared leaf feeds two consumers: the leaf comes
+        after both, and every node is listed once."""
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        a, b = x * 2.0, x * 3.0
+        out = (a + b).sum()
+        nodes = ad.tape(out)
+        assert_consumers_first(nodes)
+        assert nodes[0] is out
+        assert len(nodes) == 7  # out, a + b, a, b, x and the two constants
 
     def test_maxpool_tie_routes_to_first(self):
         x = Tensor(np.array([[[[1.0, 1.0], [0.0, 0.0]]]]), requires_grad=True)

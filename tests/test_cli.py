@@ -311,3 +311,17 @@ class TestGradcheck:
         assert seeds == [7]
         assert len({line.rindex(" ") for line in lines}) == 1
         assert lines[-1].split() == ["worst", f"{worst:.3e}"]
+
+    def test_unfinished_check_reported_as_error(self, monkeypatch, capsys):
+        """A row that cannot leave a kink ends the command with exit 1 and a
+        one-line error, not a traceback."""
+        import hsiseg.cli as cli
+        from hsiseg.errors import GradCheckError
+
+        def stuck(seed):
+            raise GradCheckError("model_loss: 20 draws all lie within 0.001 of a kink")
+
+        monkeypatch.setattr(cli, "full_report", stuck)
+        assert dispatch(["gradcheck"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model_loss: 20 draws") and "Traceback" not in err

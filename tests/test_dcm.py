@@ -157,6 +157,21 @@ class TestRegionalEncoding:
                                    Tensor(rng.standard_normal((1, 16, 4))), areas)
         assert np.all(np.isfinite(out.data))
 
+    def test_head_rows_are_views_of_the_projections(self):
+        """q, k and v reach their per-bucket gathers as one token-major
+        reshape of the biased projection, with no head transpose between."""
+        rng = np.random.default_rng(11)
+        block = _block(rng, channels=4, areas=4)
+        areas = _manual_assignment(rng.integers(0, 4, 16), 4, 4, 4)
+        out = block.encode_regions(Tensor(rng.standard_normal((1, 16, 4)), requires_grad=True),
+                                   Tensor(rng.standard_normal((1, 16, 4))), areas)
+        gathers = [node for node in ad.tape(out) if node._op == "gather_rows" and node.ndim == 4]
+        assert gathers  # (Zb, h, Lb, d) per bucket, for each of q, k and v
+        for node in gathers:
+            source = node._parents[0]
+            assert source._op == "reshape"
+            assert source._parents[0]._op == "add"
+
 
 def per_area_loop(block, tokens, pos, areas):
     """The encoder run once per live area of one image's (1, N, C) tokens,

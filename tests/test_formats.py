@@ -292,6 +292,14 @@ class TestCheckpoint:
         with pytest.raises(SizeError, match="trailing"):
             load_checkpoint(path)
 
+    def test_duplicate_name_rejected(self, tmp_path):
+        """A second entry under one name would silently replace the first."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint([("w", np.ones(2, np.float32)), ("b", np.zeros(1, np.float32)),
+                         ("w", np.zeros(2, np.float32))], path)
+        with pytest.raises(FormatError, match="'w' twice"):
+            load_checkpoint(path)
+
 
 WRITERS = {
     "cube": lambda path, v: save_cube(HsiCube(np.full((3, 2, 2), v, np.float32)), path),

@@ -12,6 +12,8 @@ from hsiseg.autodiff import SGD, Tensor
 from hsiseg.errors import ConfigError, ContractError, DataError
 from hsiseg.model import Backbone, BackboneConfig, DualContextNet
 
+from helpers import assert_consumers_first
+
 
 def tiny_model(seed=0, classes=3, dtype=np.float64):
     return DualContextNet(
@@ -292,9 +294,19 @@ class TestStrideFourLoss:
         labels = random_labels(rng, 32, 32, 60, 9)
         model = desk_model(np.float32)
         loss = model.loss_on(image, labels)
-        nodes = list(ad.tape(loss))
+        nodes = ad.tape(loss)
         assert {id(p) for p in model.parameters()} <= {id(node) for node in nodes}
         assert [node._op for node in nodes if node._parents and node.dtype != model.dtype] == []
+
+    def test_tape_lists_consumers_first(self):
+        """The walk ``backward`` runs: the loss first, each node before its parents."""
+        rng = np.random.default_rng(32)
+        images = rng.integers(0, 256, (2, 3, 32, 32)).astype(np.uint8)
+        labels = random_labels(rng, 32, 32, 60, 9)
+        loss = desk_model(np.float32).loss_on(images, labels)
+        nodes = ad.tape(loss)
+        assert nodes[0] is loss
+        assert_consumers_first(nodes)
 
 
 class TestTapeMemory:

@@ -48,26 +48,26 @@ class TestAggregation:
     def test_hand_evaluated_means(self):
         """L=6, G=3: per-pixel spectrum (1,3,5,7,9,11) -> planes (2,6,10)."""
         values = np.array([1, 3, 5, 7, 9, 11], np.float32).reshape(6, 1, 1)
-        gc = group_and_aggregate(HsiCube(np.broadcast_to(values, (6, 2, 2)).copy()), 3)
-        np.testing.assert_allclose(gc.planes[:, 0, 0], [2, 6, 10])
-        np.testing.assert_allclose(gc.planes[:, 1, 1], [2, 6, 10])
+        planes = group_and_aggregate(HsiCube(np.broadcast_to(values, (6, 2, 2)).copy()), 3)
+        np.testing.assert_allclose(planes[:, 0, 0], [2, 6, 10])
+        np.testing.assert_allclose(planes[:, 1, 1], [2, 6, 10])
 
     def test_group_per_band_is_identity(self):
         rng = np.random.default_rng(0)
         cube = HsiCube(rng.standard_normal((5, 3, 4)).astype(np.float32))
-        gc = group_and_aggregate(cube, 5)
-        np.testing.assert_allclose(gc.planes, cube.values, rtol=0, atol=0)
+        planes = group_and_aggregate(cube, 5)
+        np.testing.assert_allclose(planes, cube.values, rtol=0, atol=0)
 
     def test_full_scale_grouping(self):
         cube = HsiCube(np.ones((270, 2, 2), np.float32))
-        gc = group_and_aggregate(cube, 15)
-        assert gc.groups == 15
+        planes = group_and_aggregate(cube, 15)
+        assert planes.shape == (15, 2, 2) and planes.dtype == np.float64
         # each plane is the mean of 18 consecutive bands
         rng = np.random.default_rng(1)
         cube = HsiCube(rng.random((270, 2, 2)).astype(np.float32))
-        gc = group_and_aggregate(cube, 15)
+        planes = group_and_aggregate(cube, 15)
         manual = cube.values.astype(np.float64)[18 * 4:18 * 5].mean(axis=0)
-        np.testing.assert_allclose(gc.planes[4], manual)
+        np.testing.assert_allclose(planes[4], manual)
 
     def test_non_divisible_rejected(self):
         cube = HsiCube(np.zeros((7, 2, 2), np.float32))
@@ -84,7 +84,7 @@ class TestAggregation:
         v = rng.standard_normal((6, 3, 3)).astype(np.float32)
         a = group_and_aggregate(HsiCube(3.0 * v), 3)
         b = group_and_aggregate(HsiCube(v), 3)
-        np.testing.assert_allclose(a.planes, 3.0 * b.planes, rtol=1e-6)
+        np.testing.assert_allclose(a, 3.0 * b, rtol=1e-6)
 
 
 class TestTriplets:
@@ -122,27 +122,23 @@ class TestTriplets:
 
 class TestRenderRaw:
     def test_index_permutation(self):
-        from hsiseg.trispec import GroupedCube
-
         planes = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, 3.0)])
-        gc = GroupedCube(planes)
-        raw = render_raw(gc, BandTriplet(3, 2, 1))
+        raw = render_raw(planes, BandTriplet(3, 2, 1))
         np.testing.assert_array_equal(raw[:, 0, 0], [3, 2, 1])
 
     def test_wavelength_descending_flips(self):
-        from hsiseg.trispec import GroupedCube
-
         planes = np.stack([np.full((1, 1), v) for v in (1.0, 2.0, 3.0)])
-        raw = render_raw(GroupedCube(planes), BandTriplet(3, 2, 1),
+        raw = render_raw(planes, BandTriplet(3, 2, 1),
                          wavelength_descending=True)
         np.testing.assert_array_equal(raw[:, 0, 0], [1, 2, 3])
 
     def test_constant_planes(self):
-        from hsiseg.trispec import GroupedCube
-
-        gc = GroupedCube(np.full((4, 3, 3), 7.0))
-        raw = render_raw(gc, BandTriplet(4, 2, 1))
+        raw = render_raw(np.full((4, 3, 3), 7.0), BandTriplet(4, 2, 1))
         assert np.all(raw == 7.0)
+
+    def test_triplet_past_last_group_rejected(self):
+        with pytest.raises(ContractError):
+            render_raw(np.zeros((3, 2, 2)), BandTriplet(4, 2, 1))
 
 
 class TestLinearStretch:
