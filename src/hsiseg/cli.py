@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -36,7 +37,7 @@ from .formats import (
     write_ppm,
 )
 from .gradcheck import full_report
-from .model import BackboneConfig, DualContextNet
+from .model import STRIDE, BackboneConfig, DualContextNet
 from .synth import synth_scene
 
 
@@ -156,7 +157,7 @@ def _cmd_eval(args):
     truth = load_labels(args.truth)
     metrics = pipeline.evaluate(pred, truth)
     write_atomic(args.report, json.dumps(metrics.to_dict(), indent=2))
-    kappa = "undefined" if metrics.kappa_undefined else f"{metrics.kappa:.6f}"
+    kappa = "undefined" if math.isnan(metrics.kappa) else f"{metrics.kappa:.6f}"
     print(f"OA {metrics.oa:.6f}  AA {metrics.aa:.6f}  kappa {kappa}")
     return 0
 
@@ -166,7 +167,7 @@ def _cmd_areas(args):
     if args.checkpoint:
         model, cfg = _load_model(args.checkpoint)
         features = model.features(image).data
-        scale = 4
+        scale = STRIDE
     else:
         cfg = Config()
         features = image[None].astype(np.float64) / 255.0

@@ -319,10 +319,15 @@ def write_class_ppm(cm: ClassMap, path):
 
 def save_checkpoint(named_arrays, path):
     """Write (name, array) pairs: magic, count, then per entry the name length,
-    name bytes, rank, extents and float32 payload, all little-endian."""
+    name bytes, rank, extents and float32 payload, all little-endian. A name
+    given twice is rejected before anything is written."""
     items = list(named_arrays)
     parts = [CKPT_MAGIC, struct.pack("<I", len(items))]
+    seen = set()
     for name, arr in items:
+        if name in seen:
+            raise FormatError(f"checkpoint would hold parameter {name!r} twice")
+        seen.add(name)
         nb = name.encode("utf-8")
         a = np.asarray(arr, dtype="<f4")
         parts += [struct.pack("<I", len(nb)), nb,

@@ -18,13 +18,13 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, grad_check
+from .autodiff import FD_STEP, Tensor, grad_check
 from .dcm import DualContextModule
 from .errors import GradCheckError
 from .model import BackboneConfig, DualContextNet
 from .nn import AttentionConfig, TransformerDecoderLayer, TransformerEncoderLayer
 
-KINK_MARGIN = 1e-4  # ten steps of the default probe, eps = 1e-5
+KINK_MARGIN = 10 * FD_STEP
 _REDRAWS = 20
 
 
@@ -78,9 +78,7 @@ def _model_loss(rng):
 # parameters to the tensor whose gradient is checked
 ROWS = [
     ("primitive.add", _op(ad.add, (3, 4), (4,))),
-    ("primitive.sub", _op(ad.sub, (3, 4), (3, 1))),
     ("primitive.mul", _op(ad.mul, (3, 4), (1, 4))),
-    ("primitive.div", _op(lambda a, b: a / (b * b + 0.5), (3, 4), (3, 4))),
     ("primitive.relu", _op(ad.relu, (3, 4))),
     ("primitive.transpose", _op(lambda x: ad.transpose(x, (2, 0, 1)), (2, 3, 4))),
     ("primitive.reshape", _op(lambda x: ad.reshape(x, (2, 6)), (3, 4))),
@@ -155,6 +153,6 @@ def programs(seed=0):
         yield name, (lambda *a, fn=fn, w=w: (fn(*a) * w).sum()), xs
 
 
-def full_report(seed=0, eps=1e-5):
+def full_report(seed=0):
     """Run every row's program; returns [(name, max relative error)]."""
-    return [(name, grad_check(f, xs, eps)) for name, f, xs in programs(seed)]
+    return [(name, grad_check(f, xs)) for name, f, xs in programs(seed)]

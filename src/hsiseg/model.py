@@ -27,6 +27,7 @@ from .nn import Module, uniform_init
 
 DESK_WIDTHS = (16, 32, 64, 64)
 FULL_WIDTHS = (64, 128, 256, 512)
+STRIDE = 4  # the two 2x2 max pools: logits and areas sit on a grid this much coarser
 
 
 @dataclass
@@ -91,12 +92,12 @@ class Backbone(Module):
 
 
 def _logit_factor(logit_shape, label_shape):
-    """1 for full-resolution logits, 4 for the stride-4 map of the padded input."""
+    """1 for full-resolution logits, STRIDE for the backbone's map of the padded input."""
     logit_shape, label_shape = tuple(logit_shape), tuple(label_shape)
     if logit_shape == label_shape:
         return 1
-    if logit_shape == tuple(-(-n // 4) for n in label_shape):
-        return 4
+    if logit_shape == tuple(-(-n // STRIDE) for n in label_shape):
+        return STRIDE
     raise ContractError(f"labels {label_shape} do not match logits {logit_shape}")
 
 
@@ -154,7 +155,7 @@ class DualContextNet(Module):
         if h < 8 or w < 8:
             raise ContractError(f"image {h}x{w} is too small (needs >= 8)")
         x = (img.astype(self.dtype) / 255.0 - self.input_mean) / self.input_std
-        ph, pw = (-h) % 4, (-w) % 4
+        ph, pw = (-h) % STRIDE, (-w) % STRIDE
         if ph or pw:
             x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
         return Tensor(x), (h, w)
@@ -233,7 +234,7 @@ class DualContextNet(Module):
         with ad.no_grad():
             x, (h, w) = self.prepare_input(image)
             main, _, _ = self.forward_from_tensor(x)
-            dense = ad.bilinear_upsample(main, 4).data[:, :, :h, :w]
+            dense = ad.bilinear_upsample(main, STRIDE).data[:, :, :h, :w]
             probs = ad.softmax(Tensor(dense), axis=1).data.astype(np.float32, copy=False)
         return probs[0] if np.ndim(image) == 3 else probs
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class TriSpectralSet:
 
     images: list  # of (3, H, W) uint8 arrays
     manifest: list  # of BandTriplet, aligned with images
-    degenerate: list = field(default_factory=list)  # per-image flat-histogram flags
+    degenerate: list  # per-image flat-histogram flags
 
     @property
     def capacity(self):

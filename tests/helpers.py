@@ -1,5 +1,10 @@
 """Helpers shared by the test modules."""
 
+import inspect
+import re
+
+import hsiseg.autodiff as ad
+
 OUTPUT_PROJECTIONS = (".attn.wo", ".attn.bo", ".mlp.w2", ".mlp.b2")
 
 
@@ -19,3 +24,8 @@ def assert_consumers_first(nodes):
     assert len(position) == len(nodes)
     for i, node in enumerate(nodes):
         assert all(position[id(p)] > i for p in node._parents)
+
+
+def recorded_ops():
+    """The op names the engine can record: those its ``_from_op`` calls name."""
+    return set(re.findall(r'_from_op\(.*"(\w+)"', inspect.getsource(ad)))

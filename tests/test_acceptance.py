@@ -154,7 +154,7 @@ def test_criterion_7_metrics_oracle():
         po, aa, kappa, _ = metrics_oracle(pred, truth)
         worst = max(worst, abs(m.oa - po), abs(m.aa - aa))
         if math.isnan(kappa):
-            assert m.kappa_undefined
+            assert math.isnan(m.kappa)
         else:
             worst = max(worst, abs(m.kappa - kappa))
         done += 1

@@ -13,7 +13,7 @@ from hsiseg.autodiff import (
 )
 from hsiseg.errors import ConfigError, ContractError
 
-from helpers import assert_consumers_first
+from helpers import assert_consumers_first, recorded_ops
 
 
 class TestForwardExamples:
@@ -62,13 +62,11 @@ class TestBackward:
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
-    def test_accumulation_until_zero_grad(self):
+    def test_accumulation_across_tapes(self):
         x = Tensor(np.ones(3), requires_grad=True)
         (x * x).sum().backward()
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, 4 * np.ones(3))
-        x.zero_grad()
-        assert x.grad is None
 
     def test_repeated_backward_adds_one_gradient_per_call(self):
         """Interior nodes pass their gradient on once: a second backward on
@@ -95,7 +93,7 @@ class TestBackward:
             h = ad.relu(ad.conv2d(x, w))
             tokens = ad.transpose(ad.reshape(h, (2, 9)))
             lp = ad.log_softmax(tokens, axis=-1)
-            return -(lp.reshape((-1,)) * target).sum() * (1 / 9)
+            return (ad.reshape(lp, (-1,)) * target).sum() * (-1 / 9)
 
         err = grad_check(f, Tensor(rng.standard_normal((1, 1, 3, 3))))
         assert err < 1e-6
@@ -639,10 +637,6 @@ class TestGradCheckHarness:
         err = grad_check(f, Tensor(rng.standard_normal((4, 1))))
         assert err < 1e-8
 
-    def test_eps_domain(self):
-        with pytest.raises(ConfigError):
-            grad_check(lambda x: x.sum(), Tensor(np.ones(2)), eps=0.5)
-
     def test_float32_rejected(self):
         with pytest.raises(ContractError):
             grad_check(lambda x: x.sum(), Tensor(np.ones(2, np.float32)))
@@ -651,12 +645,12 @@ class TestGradCheckHarness:
         from hsiseg.errors import GradCheckError
 
         def f(x):
-            return (1.0 / x).sum()
+            return (x * x).sum()
 
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore"):
             with pytest.raises(GradCheckError) as exc:
-                grad_check(f, Tensor(np.array([0.0, 1.0])))
-        assert "div" in str(exc.value)
+                grad_check(f, Tensor(np.array([1e200, 1.0])))
+        assert "mul" in str(exc.value)
 
 
 class TestPrimitiveGradients:
@@ -697,14 +691,11 @@ class TestGradcheckTable:
     def test_every_recorded_op_has_its_row(self):
         """Each op name the engine records appears on the tape of its own
         primitive row."""
-        import inspect
-        import re
-
         from hsiseg.gradcheck import programs
 
-        recorded = set(re.findall(r'_from_op\(.*"(\w+)"', inspect.getsource(ad)))
+        recorded = recorded_ops()
         assert recorded == {
-            "add", "sub", "mul", "div", "relu", "transpose", "reshape", "concat", "sum",
+            "add", "mul", "relu", "transpose", "reshape", "concat", "sum",
             "matmul", "softmax", "log_softmax", "layernorm", "conv2d", "depthwise_conv2d",
             "maxpool2d", "bilinear_upsample", "sample_bilinear", "gather_rows", "scatter_mean"}
         tapes = {name: {node._op for node in ad.tape(f(*xs))} for name, f, xs in programs(0)}

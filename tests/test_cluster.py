@@ -291,6 +291,16 @@ def _tape_exp(a):
     return Tensor._from_op(out, (a,), "exp", bw)
 
 
+def _tape_div(a, b):
+    out = a.data / b.data
+
+    def bw(g):
+        ad._accumulate(a, g / b.data)
+        ad._accumulate(b, -g * a.data / (b.data * b.data))
+
+    return Tensor._from_op(out, (a, b), "div", bw)
+
+
 def _tape_to_tokens(features):
     """(B, C, H, W) tensor or array -> ((B, N, C) tensor, C, H, W)."""
     if not isinstance(features, Tensor):
@@ -317,9 +327,10 @@ def _tape_compute_affinity(tokens, centers, layout):
     sq_t = (tokens * tokens).sum(axis=2, keepdims=True)  # (B, N, 1)
     sq_c = ad.reshape((centers * centers).sum(axis=2), (nb, 1, z))
     cross = ad.matmul(tokens, ad.transpose(centers, (0, 2, 1)))  # (B, N, Z)
-    d2 = ad.relu(sq_t - 2.0 * cross + sq_c)  # clamp float negatives at zero distance
+    # sq_t + cross * -2.0 is sq_t - 2.0 * cross bit for bit: both scalings are exact
+    d2 = ad.relu(sq_t + cross * -2.0 + sq_c)  # clamp float negatives at zero distance
     mask = Tensor(layout.window_mask.astype(tokens.dtype))
-    return _tape_exp(-d2) * mask
+    return _tape_exp(d2 * -1.0) * mask
 
 
 def _tape_soft_update_centers(tokens, affinity, prev_centers):
@@ -333,10 +344,10 @@ def _tape_soft_update_centers(tokens, affinity, prev_centers):
     weighted = ad.matmul(ad.transpose(affinity, (0, 2, 1)), tokens)  # (B, Z, C)
     if zero.any():
         safe = mass + Tensor(zero.astype(mass.dtype))
-        fresh = weighted / ad.reshape(safe, mass_col)
-        keep = Tensor(zero.astype(mass.dtype)[..., None])
-        return keep * prev_centers + (1.0 - keep) * fresh, True
-    return weighted / ad.reshape(mass, mass_col), False
+        fresh = _tape_div(weighted, ad.reshape(safe, mass_col))
+        keep = zero.astype(mass.dtype)[..., None]
+        return Tensor(keep) * prev_centers + Tensor(1.0 - keep) * fresh, True
+    return _tape_div(weighted, ad.reshape(mass, mass_col)), False
 
 
 def _tape_run_clustering(features, num_areas, iterations) -> AreaAssignment:

@@ -295,10 +295,23 @@ class TestCheckpoint:
     def test_duplicate_name_rejected(self, tmp_path):
         """A second entry under one name would silently replace the first."""
         path = tmp_path / "m.ckpt"
-        save_checkpoint([("w", np.ones(2, np.float32)), ("b", np.zeros(1, np.float32)),
-                         ("w", np.zeros(2, np.float32))], path)
+
+        def entry(name, values):
+            return (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, len(values))
+                    + struct.pack(f"<{len(values)}f", *values))
+
+        path.write_bytes(b"CKPT" + struct.pack("<I", 3) + entry(b"w", [1, 1])
+                         + entry(b"b", [0]) + entry(b"w", [0, 0]))
         with pytest.raises(FormatError, match="'w' twice"):
             load_checkpoint(path)
+
+    def test_duplicate_name_not_written(self, tmp_path):
+        """The writer refuses what the reader would reject, and writes nothing."""
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(FormatError, match="'w' twice"):
+            save_checkpoint([("w", np.ones(2, np.float32)), ("b", np.zeros(1, np.float32)),
+                             ("w", np.zeros(2, np.float32))], path)
+        assert os.listdir(tmp_path) == []
 
 
 WRITERS = {

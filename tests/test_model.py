@@ -10,9 +10,9 @@ import pytest
 import hsiseg.autodiff as ad
 from hsiseg.autodiff import SGD, Tensor
 from hsiseg.errors import ConfigError, ContractError, DataError
-from hsiseg.model import Backbone, BackboneConfig, DualContextNet
+from hsiseg.model import STRIDE, Backbone, BackboneConfig, DualContextNet
 
-from helpers import assert_consumers_first
+from helpers import assert_consumers_first, recorded_ops
 
 
 def tiny_model(seed=0, classes=3, dtype=np.float64):
@@ -307,6 +307,18 @@ class TestStrideFourLoss:
         nodes = ad.tape(loss)
         assert nodes[0] is loss
         assert_consumers_first(nodes)
+
+    def test_engine_records_only_the_model_ops(self):
+        """The op names the engine records are those of a desk training tape,
+        plus the upsample that dense logits take on a recorded tape."""
+        rng = np.random.default_rng(33)
+        images = rng.integers(0, 256, (4, 3, 32, 32)).astype(np.uint8)
+        model = desk_model(np.float32)
+        loss = model.loss_on(images, random_labels(rng, 32, 32, 60, 9))
+        x, _ = model.prepare_input(images)
+        dense = ad.bilinear_upsample(model.forward_from_tensor(x)[0], STRIDE)
+        used = {node._op for out in (loss, dense) for node in ad.tape(out) if node._parents}
+        assert recorded_ops() == used
 
 
 class TestTapeMemory:

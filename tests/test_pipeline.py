@@ -157,8 +157,8 @@ class TestEvaluate:
         truth = LabelMap(np.full((2, 2), 1, np.uint16))
         pred = ClassMap(np.full((2, 2), 1))
         m = evaluate(pred, truth)
-        assert m.kappa_undefined
         assert math.isnan(m.kappa)
+        assert m.to_dict()["kappa"] is None
         assert m.oa == 1.0
 
     def test_unlabeled_pixels_excluded(self):
@@ -180,7 +180,7 @@ class TestEvaluate:
             assert abs(m.oa - po) < 1e-12
             assert abs(m.aa - aa) < 1e-12
             if math.isnan(kappa):
-                assert m.kappa_undefined
+                assert math.isnan(m.kappa)
             else:
                 assert abs(m.kappa - kappa) < 1e-12
 
@@ -223,7 +223,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch=2, seed=0, val_fraction=0.5)
         result = train(tri, labels, model, cfg)
         held_out = TriSpectralSet([tri.images[i] for i in result.holdout],
-                                  [tri.manifest[i] for i in result.holdout])
+                                  [tri.manifest[i] for i in result.holdout],
+                                  [tri.degenerate[i] for i in result.holdout])
         report = run_inference_set(model, held_out, truth=labels)[3]
         assert result.val_rows[-1] == (1, report["hard"]["oa"], report["soft"]["oa"])
 
