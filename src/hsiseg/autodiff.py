@@ -623,7 +623,7 @@ class SGD:
     ``head_lr_multiplier`` times the backbone rate.
     """
 
-    def __init__(self, params, momentum=0.9, weight_decay=1e-4, head_lr_multiplier=10.0):
+    def __init__(self, params, momentum, weight_decay, head_lr_multiplier):
         self.params = list(params)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
@@ -644,7 +644,7 @@ class SGD:
             p.data -= rate * v
 
 
-def poly_lr(initial, iteration, max_iter, power=0.9):
+def poly_lr(initial, iteration, max_iter, power):
     """Polynomial decay: initial * (1 - iteration / max_iter) ** power."""
     if max_iter <= 0:
         raise ConfigError(f"poly_lr: max_iter must be positive, got {max_iter}")

@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -42,23 +41,9 @@ from .synth import synth_scene
 
 
 def model_from_config(cfg: Config, num_classes, seed=0) -> DualContextNet:
-    backbone = BackboneConfig(widths=cfg.get("backbone.widths"),
-                              convs_per_stage=cfg.get("backbone.convs"))
-    return DualContextNet(
-        num_classes=num_classes,
-        backbone=backbone,
-        channels=cfg.get("dcm.C"),
-        num_areas=cfg.get("dcm.Z"),
-        iterations=cfg.get("dcm.T"),
-        heads=cfg.get("dcm.heads"),
-        mlp_ratio=cfg.get("dcm.mlp_ratio"),
-        use_input=cfg.get("dcm.use_F"),
-        use_regional=cfg.get("dcm.use_RAC"),
-        use_global=cfg.get("dcm.use_GAC"),
-        input_mean=cfg.get("model.input_mean"),
-        input_std=cfg.get("model.input_std"),
-        seed=seed,
-    )
+    args = cfg.arguments()
+    return DualContextNet(num_classes, backbone=BackboneConfig(**args[BackboneConfig]),
+                          seed=seed, **args[DualContextNet])
 
 
 def _cmd_synth(args):
@@ -87,7 +72,7 @@ def _cmd_train(args):
     tri_set = trispec.load_set(args.set)
     labels = load_labels(args.labels)
     num_classes = cfg.get("model.classes") or labels.num_classes
-    settings = {f.name: cfg.get(f"train.{f.name}") for f in fields(pipeline.TrainConfig)}
+    settings = cfg.arguments()[pipeline.TrainConfig]
     if args.seed is not None:
         settings["seed"] = args.seed
     tc = pipeline.TrainConfig(**settings)
@@ -114,8 +99,6 @@ def _load_model(ckpt_path):
 
 
 def _cmd_predict(args):
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     model, _ = _load_model(args.ckpt)
     tri_set = trispec.load_set(args.set)
     truth = load_labels(args.truth) if args.truth else None

@@ -1,15 +1,20 @@
 """Flat ``key = value`` configuration files.
 
-Keys are namespaced by dotted prefixes. Unknown keys are rejected; every key
-has a documented default and a parser below, and the defaults are also what
-the CLI help prints. Values are parsed as the file is read, so a malformed
-one fails with its key and line before any work starts.
+Keys are namespaced by dotted prefixes. Each key sets one constructor argument,
+and its default is the one in that constructor's signature; the CLI help and the
+checkpoint sidecar print it as text that parses back to it exactly. Unknown and
+repeated keys are rejected. Values are parsed as the file is read, so a
+malformed one fails with its key and line before any work starts.
 """
 
 from __future__ import annotations
 
+import inspect
+
 from .errors import ConfigError
 from .formats import write_atomic
+from .model import BackboneConfig, DualContextNet
+from .pipeline import TrainConfig
 
 
 def _bool(text):
@@ -28,37 +33,42 @@ def _int_tuple(text):
 _EXPECTED = {int: "an integer", float: "a number", _bool: "true or false",
              _int_tuple: "comma-separated integers"}
 
-# key -> (default string, parser, description)
+# key -> (owner, argument, parser, description): the key sets ``argument`` of
+# ``owner``'s constructor, whose signature holds the default. model.classes
+# sets no constructor argument, so its ``argument`` is its default.
 DEFAULTS = {
-    "backbone.widths": ("16,32,64,64", _int_tuple, "channel width per backbone stage"),
-    "backbone.convs": ("2,2,3,3", _int_tuple, "convolutions per backbone stage"),
-    "model.classes": ("0", int, "class count; 0 derives it from the label map"),
-    "model.input_mean": ("0.5", float, "input standardization mean"),
-    "model.input_std": ("0.25", float, "input standardization std"),
-    "dcm.C": ("32", int, "context module channel width"),
-    "dcm.Z": ("16", int, "homogeneous area count"),
-    "dcm.T": ("5", int, "clustering iterations"),
-    "dcm.heads": ("2", int, "attention heads"),
-    "dcm.mlp_ratio": ("2", int, "MLP expansion factor"),
-    "dcm.use_F": ("true", _bool, "concatenate the raw feature stream"),
-    "dcm.use_RAC": ("true", _bool, "run the per-area regional encoder"),
-    "dcm.use_GAC": ("true", _bool, "run the descriptor/global branch"),
-    "train.epochs": ("30", int, "training epochs"),
-    "train.batch": ("4", int, "whole tri-spectral images per batch (one tape)"),
-    "train.lr": ("0.001", float, "initial backbone learning rate"),
-    "train.momentum": ("0.9", float, "SGD momentum"),
-    "train.weight_decay": ("0.0001", float, "weight decay"),
-    "train.poly_power": ("0.9", float, "poly schedule exponent"),
-    "train.head_lr_multiplier": ("10", float, "context/head learning-rate factor"),
-    "train.seed": ("0", int, "training seed"),
-    "train.val_fraction": ("0.05", float, "image fraction held out for validation voting"),
+    "backbone.widths": (BackboneConfig, "widths", _int_tuple, "channel width per backbone stage"),
+    "backbone.convs": (BackboneConfig, "convs_per_stage", _int_tuple,
+                       "convolutions per backbone stage"),
+    "model.classes": (None, 0, int, "class count; 0 derives it from the label map"),
+    "model.input_mean": (DualContextNet, "input_mean", float, "input standardization mean"),
+    "model.input_std": (DualContextNet, "input_std", float, "input standardization std"),
+    "dcm.C": (DualContextNet, "channels", int, "context module channel width"),
+    "dcm.Z": (DualContextNet, "num_areas", int, "homogeneous area count"),
+    "dcm.T": (DualContextNet, "iterations", int, "clustering iterations"),
+    "dcm.heads": (DualContextNet, "heads", int, "attention heads"),
+    "dcm.mlp_ratio": (DualContextNet, "mlp_ratio", int, "MLP expansion factor"),
+    "dcm.use_F": (DualContextNet, "use_input", _bool, "concatenate the raw feature stream"),
+    "dcm.use_RAC": (DualContextNet, "use_regional", _bool, "run the per-area regional encoder"),
+    "dcm.use_GAC": (DualContextNet, "use_global", _bool, "run the descriptor/global branch"),
+    "train.epochs": (TrainConfig, "epochs", int, "training epochs"),
+    "train.batch": (TrainConfig, "batch", int, "whole tri-spectral images per batch (one tape)"),
+    "train.lr": (TrainConfig, "lr", float, "initial backbone learning rate"),
+    "train.momentum": (TrainConfig, "momentum", float, "SGD momentum"),
+    "train.weight_decay": (TrainConfig, "weight_decay", float, "weight decay"),
+    "train.poly_power": (TrainConfig, "poly_power", float, "poly schedule exponent"),
+    "train.head_lr_multiplier": (TrainConfig, "head_lr_multiplier", float,
+                                 "context/head learning-rate factor"),
+    "train.seed": (TrainConfig, "seed", int, "training seed"),
+    "train.val_fraction": (TrainConfig, "val_fraction", float,
+                           "image fraction held out for validation voting"),
 }
 
 
 def _parse(key, text):
     if key not in DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
-    parser = DEFAULTS[key][1]
+    parser = DEFAULTS[key][2]
     try:
         return parser(text)
     except ValueError:
@@ -66,11 +76,15 @@ def _parse(key, text):
 
 
 class Config:
-    """Every key's text as the config gave it, defaults filled in; ``get``
-    parses it."""
+    """Every key's text as the config gave it, defaults filled in as text that
+    parses back to them exactly; ``get`` parses it."""
 
     def __init__(self, values=None):
-        self.text = {key: default for key, (default, _, _) in DEFAULTS.items()}
+        self.text = {}
+        for key, (owner, arg, _, _) in DEFAULTS.items():
+            value = arg if owner is None else inspect.signature(owner).parameters[arg].default
+            self.text[key] = (",".join(map(str, value)) if isinstance(value, tuple)
+                              else repr(value).lower().removesuffix(".0"))
         for key, text in (values or {}).items():
             _parse(key, text)
             self.text[key] = text
@@ -78,9 +92,16 @@ class Config:
     def get(self, key):
         return _parse(key, self.text.get(key))
 
+    def arguments(self):
+        """{owner: the keyword arguments the keys set on its constructor}."""
+        by_owner = {}
+        for key, (owner, arg, _, _) in DEFAULTS.items():
+            by_owner.setdefault(owner, {})[arg] = self.get(key)
+        return by_owner
+
 
 def parse_config(text) -> Config:
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -92,6 +113,9 @@ def parse_config(text) -> Config:
             _parse(key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value
     return Config(values)
 
@@ -108,6 +132,6 @@ def dump_config(values, path):
 def describe_defaults():
     width = max(len(k) for k in DEFAULTS)
     lines = ["configuration keys (key = default): "]
-    for key, (default, _, help_text) in DEFAULTS.items():
-        lines.append(f"  {key:<{width}} = {default:<12} {help_text}")
+    for key, text in Config().text.items():
+        lines.append(f"  {key:<{width}} = {text:<12} {DEFAULTS[key][3]}")
     return "\n".join(lines)

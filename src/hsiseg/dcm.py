@@ -10,8 +10,6 @@ raw feature map with the final context stream.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .cluster import AreaAssignment, area_means, run_clustering
 from .errors import ConfigError
@@ -34,16 +32,13 @@ class DualContextModule(Module):
     concatenated, so the default configuration emits 2C channels.
     """
 
-    def __init__(self, channels, num_areas, iterations=5, heads=2, mlp_ratio=2,
-                 use_input=True, use_regional=True, use_global=True,
-                 rng=None, dtype=np.float32, prefix="context"):
+    def __init__(self, channels, num_areas, iterations, heads, mlp_ratio,
+                 use_input, use_regional, use_global, rng, prefix="context"):
         if not (use_input or use_regional or use_global):
             raise ConfigError("at least one context stream must be enabled")
         if num_areas < 4 or iterations < 1:
             raise ConfigError(f"need at least 4 areas and 1 clustering iteration, "
                               f"got {num_areas} and {iterations}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         cfg = AttentionConfig(channels, heads, mlp_ratio)
         self.attn_cfg = cfg
         self.channels = channels
@@ -58,12 +53,12 @@ class DualContextModule(Module):
         self.summary_encoder = None
         self.context_decoder = None
         if use_regional:
-            self.pos_map = PositionalConv2d(channels, rng, dtype, prefix=f"{prefix}.pos_map")
-            self.region_encoder = TransformerEncoderLayer(cfg, rng, dtype, prefix=f"{prefix}.region")
+            self.pos_map = PositionalConv2d(channels, rng, prefix=f"{prefix}.pos_map")
+            self.region_encoder = TransformerEncoderLayer(cfg, rng, prefix=f"{prefix}.region")
         if use_global:
-            self.pos_seq = PositionalConv1d(channels, rng, dtype, prefix=f"{prefix}.pos_seq")
-            self.summary_encoder = TransformerEncoderLayer(cfg, rng, dtype, prefix=f"{prefix}.summary")
-            self.context_decoder = TransformerDecoderLayer(cfg, rng, dtype, prefix=f"{prefix}.decode")
+            self.pos_seq = PositionalConv1d(channels, rng, prefix=f"{prefix}.pos_seq")
+            self.summary_encoder = TransformerEncoderLayer(cfg, rng, prefix=f"{prefix}.summary")
+            self.context_decoder = TransformerDecoderLayer(cfg, rng, prefix=f"{prefix}.decode")
 
     @property
     def out_channels(self):

@@ -40,20 +40,20 @@ def _sample_bilinear(rng):
 
 
 def _encoder_layer(rng):
-    layer = TransformerEncoderLayer(AttentionConfig(channels=8, heads=2), rng, dtype=np.float64)
+    layer = TransformerEncoderLayer(AttentionConfig(channels=8, heads=2, mlp_ratio=2), rng)
     pos = Tensor(rng.standard_normal((1, 5, 8)))
     return (lambda x, *params: layer(x, pos=pos)), [(1, 5, 8)], layer.parameters()
 
 
 def _decoder_layer(rng):
-    layer = TransformerDecoderLayer(AttentionConfig(channels=8, heads=2), rng, dtype=np.float64)
+    layer = TransformerDecoderLayer(AttentionConfig(channels=8, heads=2, mlp_ratio=2), rng)
     memory = Tensor(rng.standard_normal((1, 4, 8)))
     return (lambda x, *params: layer(x, memory)), [(1, 7, 8)], layer.parameters()
 
 
 def _dcm_block(rng):
-    block = DualContextModule(channels=8, num_areas=4, iterations=2, heads=2,
-                              rng=rng, dtype=np.float64)
+    block = DualContextModule(channels=8, num_areas=4, iterations=2, heads=2, mlp_ratio=2,
+                              use_input=True, use_regional=True, use_global=True, rng=rng)
     return (lambda x: block(x)[0]), [(1, 8, 6, 6)], []
 
 

@@ -25,14 +25,12 @@ from .errors import ConfigError, ContractError, DataError
 from .formats import LabelMap, load_checkpoint, save_checkpoint
 from .nn import Module, uniform_init
 
-DESK_WIDTHS = (16, 32, 64, 64)
-FULL_WIDTHS = (64, 128, 256, 512)
 STRIDE = 4  # the two 2x2 max pools: logits and areas sit on a grid this much coarser
 
 
 @dataclass
 class BackboneConfig:
-    widths: tuple = DESK_WIDTHS
+    widths: tuple = (16, 32, 64, 64)
     convs_per_stage: tuple = (2, 2, 3, 3)
 
     def __post_init__(self):
@@ -43,19 +41,14 @@ class BackboneConfig:
         if min(self.widths) < 1 or min(self.convs_per_stage) < 1:
             raise ConfigError("backbone widths and depths must be positive")
 
-    @classmethod
-    def full_scale(cls):
-        return cls(widths=FULL_WIDTHS)
-
 
 class Conv3x3(Module):
     """3x3 "same" convolution with bias; ``relu=True`` fuses a ReLU into it."""
 
-    def __init__(self, in_ch, out_ch, rng, dtype, group, name, relu=False):
-        fan_in = in_ch * 9
-        self.weight = Parameter(uniform_init(rng, (out_ch, in_ch, 3, 3), fan_in, dtype),
+    def __init__(self, in_ch, out_ch, rng, group, name, relu=False):
+        self.weight = Parameter(uniform_init(rng, (out_ch, in_ch, 3, 3), in_ch * 9),
                                 group=group, name=f"{name}.weight")
-        self.bias = Parameter(np.zeros(out_ch, dtype), group=group, name=f"{name}.bias")
+        self.bias = Parameter(np.zeros(out_ch), group=group, name=f"{name}.bias")
         self.relu = relu
 
     def __call__(self, x):
@@ -65,14 +58,14 @@ class Conv3x3(Module):
 class Backbone(Module):
     """Four conv-relu stages at widths[i]; 2x2 max pools after stages 1 and 2."""
 
-    def __init__(self, cfg: BackboneConfig, rng, dtype=np.float32, in_channels=3):
+    def __init__(self, cfg: BackboneConfig, rng):
         self.cfg = cfg
         self.stages = []
-        prev = in_channels
+        prev = 3  # the tri-spectral image's three bands
         for si, (width, depth) in enumerate(zip(cfg.widths, cfg.convs_per_stage)):
             stage = []
             for ci in range(depth):
-                stage.append(Conv3x3(prev, width, rng, dtype, "backbone",
+                stage.append(Conv3x3(prev, width, rng, "backbone",
                                      f"backbone.stage{si + 1}.conv{ci}", relu=True))
                 prev = width
             self.stages.append(stage)
@@ -114,22 +107,24 @@ class DualContextNet(Module):
             raise ConfigError(f"input_mean must be finite, got {input_mean}")
         if not (math.isfinite(input_std) and input_std > 0):
             raise ConfigError(f"input_std must be finite and positive, got {input_std}")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
         rng = np.random.default_rng(seed)
         cfg = backbone if backbone is not None else BackboneConfig()
         self.num_classes = num_classes
         self.input_mean = float(input_mean)
         self.input_std = float(input_std)
-        self.dtype = np.dtype(dtype)
-        self.backbone = Backbone(cfg, rng, self.dtype)
-        self.reduce = Conv3x3(cfg.widths[3], channels, rng, self.dtype, "head", "reduce")
+        self.backbone = Backbone(cfg, rng)
+        self.reduce = Conv3x3(cfg.widths[3], channels, rng, "head", "reduce")
         self.context = DualContextModule(
             channels, num_areas, iterations=iterations, heads=heads,
             mlp_ratio=mlp_ratio, use_input=use_input, use_regional=use_regional,
-            use_global=use_global, rng=rng, dtype=self.dtype)
-        self.head = Conv3x3(self.context.out_channels, num_classes, rng, self.dtype,
-                            "head", "head")
-        self.aux_head = Conv3x3(cfg.widths[2], num_classes, rng, self.dtype,
-                                "head", "aux_head")
+            use_global=use_global, rng=rng)
+        self.head = Conv3x3(self.context.out_channels, num_classes, rng, "head", "head")
+        self.aux_head = Conv3x3(cfg.widths[2], num_classes, rng, "head", "aux_head")
+        for p in self.parameters():  # the blocks draw in float64; dtype decides here alone
+            p.data = p.data.astype(self.dtype)
 
     # -- parameter plumbing ----------------------------------------------------
 

@@ -6,7 +6,8 @@ axis, so every query's weights sum to 1. Encoder and decoder layers are
 pre-norm residual blocks; the decoder carries no self-attention and no
 positional term. Self-attention can be confined to groups of tokens: every
 per-token step runs once over all B*N tokens, and only the scores are
-batched group by group.
+batched group by group. Blocks draw their parameters in float64; the net
+that owns them casts them to its dtype.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ GROUP_BUCKETS = 4
 class AttentionConfig:
     channels: int
     heads: int
-    mlp_ratio: int = 2
+    mlp_ratio: int
 
     def __post_init__(self):
         if self.channels < 1 or self.heads < 1 or self.mlp_ratio < 1:
@@ -69,12 +70,12 @@ def _parameters_of(value):
     return []
 
 
-def uniform_init(rng, shape, fan_in, dtype):
+def uniform_init(rng, shape, fan_in):
     bound = math.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def attention_head(q, k, v, key_mask=None, return_weights=False):
+def attention_head(q, k, v, key_mask=None):
     """Attention over the last two axes: q (..., Nq, d), k/v (..., Nk, d) -> (..., Nq, d).
 
     Leading axes are a batch (images and heads, in ``MultiHeadAttention``). The
@@ -87,8 +88,7 @@ def attention_head(q, k, v, key_mask=None, return_weights=False):
     logits = ad.matmul(q * (1.0 / math.sqrt(d)), k_t)
     mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)
     weights = ad.softmax(logits, axis=-1, mask=mask)
-    out = ad.matmul(weights, v)
-    return (out, weights) if return_weights else out
+    return ad.matmul(weights, v)
 
 
 def group_buckets(groups):
@@ -122,17 +122,17 @@ class MultiHeadAttention(Module):
     one batched pass (one per size bucket of groups).
     """
 
-    def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="attn"):
+    def __init__(self, cfg: AttentionConfig, rng, prefix="attn"):
         c, h, d = cfg.channels, cfg.heads, cfg.head_dim
         self.cfg = cfg
         # drawn head by head (q, k, v per head), then joined column-wise
-        w = uniform_init(rng, (h, 3, c, d), c, dtype).transpose(1, 2, 0, 3).reshape(3, c, c)
+        w = uniform_init(rng, (h, 3, c, d), c).transpose(1, 2, 0, 3).reshape(3, c, c)
         self.wq, self.wk, self.wv = (Parameter(w[j], name=f"{prefix}.w{n}")
                                      for j, n in enumerate("qkv"))
-        self.bq, self.bk, self.bv = (Parameter(np.zeros(c, dtype), name=f"{prefix}.b{n}")
+        self.bq, self.bk, self.bv = (Parameter(np.zeros(c), name=f"{prefix}.b{n}")
                                      for n in "qkv")
-        self.wo = Parameter(uniform_init(rng, (c, c), c, dtype), name=f"{prefix}.wo")
-        self.bo = Parameter(np.zeros(c, dtype), name=f"{prefix}.bo")
+        self.wo = Parameter(uniform_init(rng, (c, c), c), name=f"{prefix}.wo")
+        self.bo = Parameter(np.zeros(c), name=f"{prefix}.bo")
 
     def _split_heads(self, x, w, b):
         """(B, N, C) tokens -> per-head projections, (B, h, N, d)."""
@@ -200,12 +200,12 @@ class MultiHeadAttention(Module):
 class Mlp(Module):
     """linear(C -> ratio*C), ReLU, linear(-> C)."""
 
-    def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="mlp"):
+    def __init__(self, cfg: AttentionConfig, rng, prefix="mlp"):
         c, hidden = cfg.channels, cfg.mlp_ratio * cfg.channels
-        self.w1 = Parameter(uniform_init(rng, (c, hidden), c, dtype), name=f"{prefix}.w1")
-        self.b1 = Parameter(np.zeros(hidden, dtype), name=f"{prefix}.b1")
-        self.w2 = Parameter(uniform_init(rng, (hidden, c), hidden, dtype), name=f"{prefix}.w2")
-        self.b2 = Parameter(np.zeros(c, dtype), name=f"{prefix}.b2")
+        self.w1 = Parameter(uniform_init(rng, (c, hidden), c), name=f"{prefix}.w1")
+        self.b1 = Parameter(np.zeros(hidden), name=f"{prefix}.b1")
+        self.w2 = Parameter(uniform_init(rng, (hidden, c), hidden), name=f"{prefix}.w2")
+        self.b2 = Parameter(np.zeros(c), name=f"{prefix}.b2")
 
     def __call__(self, x):
         h = ad.matmul(x, self.w1) + self.b1
@@ -213,9 +213,9 @@ class Mlp(Module):
 
 
 class _Norm(Module):
-    def __init__(self, channels, dtype, name):
-        self.gamma = Parameter(np.ones(channels, dtype), name=f"{name}.gamma")
-        self.beta = Parameter(np.zeros(channels, dtype), name=f"{name}.beta")
+    def __init__(self, channels, name):
+        self.gamma = Parameter(np.ones(channels), name=f"{name}.gamma")
+        self.beta = Parameter(np.zeros(channels), name=f"{name}.beta")
 
     def __call__(self, x):
         return ad.layernorm(x, self.gamma, self.beta, axis=-1)
@@ -228,11 +228,11 @@ class TransformerEncoderLayer(Module):
     call encodes every group as if it ran alone.
     """
 
-    def __init__(self, cfg: AttentionConfig, rng, dtype=np.float32, prefix="layer"):
-        self.attn = MultiHeadAttention(cfg, rng, dtype, prefix=f"{prefix}.attn")
-        self.mlp = Mlp(cfg, rng, dtype, prefix=f"{prefix}.mlp")
-        self.norm1 = _Norm(cfg.channels, dtype, f"{prefix}.norm1")
-        self.norm2 = _Norm(cfg.channels, dtype, f"{prefix}.norm2")
+    def __init__(self, cfg: AttentionConfig, rng, prefix="layer"):
+        self.attn = MultiHeadAttention(cfg, rng, prefix=f"{prefix}.attn")
+        self.mlp = Mlp(cfg, rng, prefix=f"{prefix}.mlp")
+        self.norm1 = _Norm(cfg.channels, f"{prefix}.norm1")
+        self.norm2 = _Norm(cfg.channels, f"{prefix}.norm2")
 
     def __call__(self, x, pos=None, key_mask=None, groups=None):
         base = x + pos if pos is not None else x
@@ -252,9 +252,9 @@ class TransformerDecoderLayer(TransformerEncoderLayer):
 class PositionalConv2d(Module):
     """3x3 depthwise convolution over a (B, C, H, W) batch of maps, padding 1."""
 
-    def __init__(self, channels, rng, dtype=np.float32, prefix="pos2d"):
-        self.weight = Parameter(uniform_init(rng, (channels, 3, 3), 9, dtype), name=f"{prefix}.weight")
-        self.bias = Parameter(np.zeros(channels, dtype), name=f"{prefix}.bias")
+    def __init__(self, channels, rng, prefix="pos2d"):
+        self.weight = Parameter(uniform_init(rng, (channels, 3, 3), 9), name=f"{prefix}.weight")
+        self.bias = Parameter(np.zeros(channels), name=f"{prefix}.bias")
 
     def __call__(self, x):
         return ad.depthwise_conv2d(x, self.weight, self.bias)
@@ -266,9 +266,9 @@ class PositionalConv1d(Module):
 
     Runs as a depthwise 1x3 convolution of the tokens viewed as a (B, C, 1, N) map."""
 
-    def __init__(self, channels, rng, dtype=np.float32, prefix="pos1d"):
-        self.weight = Parameter(uniform_init(rng, (channels, 3), 3, dtype), name=f"{prefix}.weight")
-        self.bias = Parameter(np.zeros(channels, dtype), name=f"{prefix}.bias")
+    def __init__(self, channels, rng, prefix="pos1d"):
+        self.weight = Parameter(uniform_init(rng, (channels, 3), 3), name=f"{prefix}.weight")
+        self.bias = Parameter(np.zeros(channels), name=f"{prefix}.bias")
 
     def __call__(self, x):
         nb, n, c = x.shape

@@ -245,6 +245,8 @@ def run_inference_set(model, tri_set: TriSpectralSet, out_dir=None, truth=None,
     and class maps plus both fused maps are written under ``out_dir`` when
     given; metrics require ``truth``.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     images = tri_set.images
     if not images:
         raise ContractError("run_inference_set needs at least one image")

@@ -107,8 +107,8 @@ def test_criterion_5_structural_identity():
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        block = DualContextModule(channels=8, num_areas=4, iterations=3, heads=2,
-                                  rng=rng, dtype=np.float64)
+        block = DualContextModule(channels=8, num_areas=4, iterations=3, heads=2, mlp_ratio=2,
+                                  use_input=True, use_regional=True, use_global=True, rng=rng)
         zero_parameters(block)
         f = Tensor(rng.standard_normal((1, 8, 8, 8)))
         out, _ = block(f)

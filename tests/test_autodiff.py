@@ -565,7 +565,7 @@ class TestSgd:
     def test_plain_gradient_step(self):
         p = Parameter(np.array([1.0, 2.0]), group="backbone")
         p.grad = np.array([0.5, -0.5])
-        opt = SGD([p], momentum=0.0, weight_decay=0.0)
+        opt = SGD([p], momentum=0.0, weight_decay=0.0, head_lr_multiplier=10.0)
         opt.step(lr=0.1)
         np.testing.assert_allclose(p.data, [0.95, 2.05])
 
@@ -605,24 +605,24 @@ class TestSgd:
     def test_missing_grad_rejected(self):
         p = Parameter(np.zeros(2))
         with pytest.raises(ContractError):
-            SGD([p]).step(0.1)
+            SGD([p], momentum=0.9, weight_decay=0.0001, head_lr_multiplier=10.0).step(0.1)
 
 
 class TestPolyLr:
     def test_endpoints(self):
-        assert poly_lr(0.001, 0, 100) == 0.001
-        assert poly_lr(0.001, 100, 100) == 0.0
+        assert poly_lr(0.001, 0, 100, 0.9) == 0.001
+        assert poly_lr(0.001, 100, 100, 0.9) == 0.0
 
     def test_midpoint_value(self):
-        np.testing.assert_allclose(poly_lr(0.001, 50, 100), 0.001 * 0.5 ** 0.9)
-        np.testing.assert_allclose(poly_lr(0.001, 50, 100), 5.358867e-4, rtol=1e-6)
+        np.testing.assert_allclose(poly_lr(0.001, 50, 100, 0.9), 0.001 * 0.5 ** 0.9)
+        np.testing.assert_allclose(poly_lr(0.001, 50, 100, 0.9), 5.358867e-4, rtol=1e-6)
 
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ConfigError):
-            poly_lr(0.001, 0, 0)
+            poly_lr(0.001, 0, 0, 0.9)
 
     def test_monotone_non_increasing(self):
-        values = [poly_lr(0.01, i, 500) for i in range(501)]
+        values = [poly_lr(0.01, i, 500, 0.9) for i in range(501)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 

@@ -23,6 +23,14 @@ train.val_fraction = 0
 """
 
 
+def tiny_config(override):
+    """TINY_CONFIG with the ``key = value`` line ``override`` in place of its
+    key's line, since a config may set a key only once."""
+    key = override.split("=")[0].strip()
+    kept = [line for line in TINY_CONFIG.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join(kept + [override]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def scene(tmp_path_factory):
     """synth -> generate, shared by the command tests below."""
@@ -104,6 +112,42 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config("dcm.Z 64")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: dcm.Z is already set on line 1"):
+            parse_config("dcm.Z = 4\ndcm.T = 2\ndcm.Z = 8\n")
+
+    @pytest.mark.parametrize("streams", [(False, False, True), (True, True, False)])
+    def test_every_model_key_reaches_the_net(self, streams):
+        """Every backbone, model and dcm key set away from its default reaches
+        the net. One stream must stay on, so two runs turn each flag off."""
+        from hsiseg.cli import model_from_config
+
+        flags = dict(zip(("dcm.use_F", "dcm.use_RAC", "dcm.use_GAC"), streams))
+        cfg = parse_config("""
+backbone.widths = 4,6,8,10
+backbone.convs = 1,2,1,1
+model.classes = 7
+model.input_mean = 0.4
+model.input_std = 0.3
+dcm.C = 12
+dcm.Z = 9
+dcm.T = 3
+dcm.heads = 3
+dcm.mlp_ratio = 3
+""" + "".join(f"{key} = false\n" for key, on in flags.items() if not on))
+        changed = {key for key in DEFAULTS if cfg.text[key] != Config().text[key]}
+        assert changed == {key for key in DEFAULTS
+                           if not key.startswith("train.") and flags.get(key) is not True}
+        net = model_from_config(cfg, cfg.get("model.classes"))
+        ctx = net.context
+        assert net.backbone.cfg.widths == (4, 6, 8, 10)
+        assert net.backbone.cfg.convs_per_stage == (1, 2, 1, 1)
+        assert net.num_classes == 7 and net.head.weight.shape[0] == 7
+        assert (net.input_mean, net.input_std) == (0.4, 0.3)
+        assert (ctx.channels, ctx.num_areas, ctx.iterations) == (12, 9, 3)
+        assert (ctx.attn_cfg.heads, ctx.attn_cfg.mlp_ratio) == (3, 3)
+        assert (ctx.use_input, ctx.use_regional, ctx.use_global) == streams
+
     @pytest.mark.parametrize("key,value", [
         ("dcm.Z", "four"), ("train.lr", "fast"), ("dcm.use_F", "maybe"),
         ("backbone.widths", "4;6"),
@@ -112,7 +156,7 @@ class TestConfigFile:
         from hsiseg.cli import build_parser
 
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        cfg.write_text(tiny_config(f"{key} = {value}"))
         args = build_parser().parse_args([
             "train", "--set", str(scene / "set"), "--labels", str(scene / "train.lbl"),
             "--config", str(cfg), "--out", str(tmp_path / "model.ckpt")])
@@ -123,8 +167,8 @@ class TestConfigFile:
 
 
 class TestDefaults:
-    """The key table and the constructor signatures each hold the defaults;
-    they must agree."""
+    """The constructor signatures hold the only defaults and the key table
+    reads them from there, so a default config builds the default objects."""
 
     def test_net_from_default_config_matches_default_net(self):
         from hsiseg.cli import model_from_config
@@ -180,7 +224,7 @@ class TestTrainPredictVoteEval:
         from hsiseg.cli import _load_model
 
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(TINY_CONFIG + "dcm.T = 2\ndcm.use_GAC = false\nmodel.input_mean = 0.4\n")
+        cfg.write_text(TINY_CONFIG + "dcm.use_GAC = false\nmodel.input_mean = 0.4\n")
         ckpt = tmp_path / "model.ckpt"
         assert dispatch(["train", "--set", str(scene / "set"),
                          "--labels", str(scene / "train.lbl"),
@@ -234,7 +278,7 @@ class TestTrainPredictVoteEval:
     ])
     def test_out_of_range_config_fails_cleanly(self, scene, tmp_path, capsys, override):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG + override + "\n")
+        cfg.write_text(tiny_config(override))
         assert dispatch(["train", "--set", str(scene / "set"),
                          "--labels", str(scene / "train.lbl"),
                          "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 1
@@ -245,7 +289,7 @@ class TestTrainPredictVoteEval:
         out = tmp_path / "pred"
         assert dispatch(["predict", "--ckpt", str(trained), "--set", str(scene / "set"),
                          "--out", str(out), "--jobs", jobs]) == 1
-        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert f"error: jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_sidecar_fails_cleanly(self, scene, tmp_path):

@@ -29,9 +29,11 @@ def _manual_assignment(labels, num_areas, h, w):
 LEGAL_FLAGS = [f for f in itertools.product((True, False), repeat=3) if any(f)]
 
 
-def _block(rng, channels=6, areas=4, iters=2, heads=2, **kw):
-    return DualContextModule(channels, areas, iterations=iters, heads=heads,
-                             rng=rng, dtype=np.float64, **kw)
+def _block(rng, channels=6, areas=4, iters=2, heads=2,
+           use_input=True, use_regional=True, use_global=True):
+    return DualContextModule(channels, areas, iterations=iters, heads=heads, mlp_ratio=2,
+                             use_input=use_input, use_regional=use_regional,
+                             use_global=use_global, rng=rng)
 
 
 class TestStructuralIdentity:

@@ -1,5 +1,6 @@
 """Network assembly: backbone strides, forward shapes, loss analytics."""
 
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,18 @@ import pytest
 import hsiseg.autodiff as ad
 from hsiseg.autodiff import SGD, Tensor
 from hsiseg.errors import ConfigError, ContractError, DataError
-from hsiseg.model import STRIDE, Backbone, BackboneConfig, DualContextNet
+from hsiseg.dcm import DualContextModule
+from hsiseg.model import STRIDE, Backbone, BackboneConfig, Conv3x3, DualContextNet
+from hsiseg.nn import (
+    Mlp,
+    MultiHeadAttention,
+    PositionalConv1d,
+    PositionalConv2d,
+    TransformerDecoderLayer,
+    TransformerEncoderLayer,
+    _Norm,
+    uniform_init,
+)
 
 from helpers import assert_consumers_first, recorded_ops
 
@@ -25,16 +37,14 @@ def tiny_model(seed=0, classes=3, dtype=np.float64):
 class TestBackbone:
     def test_stride_four(self):
         rng = np.random.default_rng(0)
-        bb = Backbone(BackboneConfig(), rng, np.float32)
-        stage3, stage4 = bb.forward(
-            Tensor(rng.standard_normal((1, 3, 32, 32)).astype(np.float32)))
+        bb = Backbone(BackboneConfig(), rng)
+        stage3, stage4 = bb.forward(Tensor(rng.standard_normal((1, 3, 32, 32))))
         assert stage3.shape == (1, 64, 8, 8)
         assert stage4.shape == (1, 64, 8, 8)
 
     def test_constant_input_constant_interior(self):
         rng = np.random.default_rng(1)
-        bb = Backbone(BackboneConfig(widths=(4, 4, 4, 4), convs_per_stage=(1, 1, 1, 1)),
-                      rng, np.float64)
+        bb = Backbone(BackboneConfig(widths=(4, 4, 4, 4), convs_per_stage=(1, 1, 1, 1)), rng)
         conv = bb.stages[0][0]
         out = conv(Tensor(np.full((1, 3, 8, 8), 0.7))).data[0]
         interior = out[:, 1:-1, 1:-1]
@@ -44,11 +54,13 @@ class TestBackbone:
         assert not np.allclose(out[:, 0, :], interior[:, 0, 0].reshape(-1, 1))
 
     def test_full_scale_checkpoint_import(self, tmp_path):
-        donor = DualContextNet(num_classes=4, backbone=BackboneConfig.full_scale(),
+        donor = DualContextNet(num_classes=4,
+                               backbone=BackboneConfig(widths=(64, 128, 256, 512)),
                                channels=16, num_areas=4, iterations=1, heads=2, seed=1)
         path = tmp_path / "full.ckpt"
         donor.save(path)
-        target = DualContextNet(num_classes=4, backbone=BackboneConfig.full_scale(),
+        target = DualContextNet(num_classes=4,
+                                backbone=BackboneConfig(widths=(64, 128, 256, 512)),
                                 channels=16, num_areas=4, iterations=1, heads=2, seed=2)
         target.load(path)
         for (_, a), (_, b) in zip(donor.named_parameters(), target.named_parameters()):
@@ -298,6 +310,28 @@ class TestStrideFourLoss:
         assert {id(p) for p in model.parameters()} <= {id(node) for node in nodes}
         assert [node._op for node in nodes if node._parents and node.dtype != model.dtype] == []
 
+    def test_float32_net_is_the_float64_net_cast(self):
+        """The blocks draw in float64 and the net casts each parameter once,
+        so both nets hold the same draws, each in its own contiguous array."""
+        wide, narrow = desk_model(np.float64), desk_model(np.float32)
+        for (name, a), (_, b) in zip(wide.named_parameters(), narrow.named_parameters()):
+            assert b.dtype == np.float32 and b.data.flags.c_contiguous, name
+            np.testing.assert_array_equal(a.data.astype(np.float32), b.data, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, bool, np.float16])
+    def test_unsupported_dtype_rejected(self, dtype):
+        """Integers round every weight to 0, and float16 turns the finite
+        masked logit into -inf."""
+        with pytest.raises(ConfigError, match="float32 or float64"):
+            tiny_model(dtype=dtype)
+
+    def test_only_the_net_takes_a_dtype(self):
+        blocks = [Conv3x3, Backbone, DualContextModule, MultiHeadAttention, Mlp, _Norm,
+                  TransformerEncoderLayer, TransformerDecoderLayer, PositionalConv2d,
+                  PositionalConv1d, uniform_init]
+        assert [b.__name__ for b in blocks if "dtype" in inspect.signature(b).parameters] == []
+        assert "dtype" in inspect.signature(DualContextNet).parameters
+
     def test_tape_lists_consumers_first(self):
         """The walk ``backward`` runs: the loss first, each node before its parents."""
         rng = np.random.default_rng(32)
@@ -435,9 +469,9 @@ class TestFullScale:
     def test_full_width_forward(self):
         """Full-scale preset (widths 64..512, C=256, Z=128, h=4, 9 classes)
         runs one forward pass; Z=128 needs a 16x16 feature map or larger."""
-        model = DualContextNet(num_classes=9, backbone=BackboneConfig.full_scale(),
-                               channels=256, num_areas=128, iterations=5, heads=4,
-                               seed=0)
+        model = DualContextNet(num_classes=9,
+                               backbone=BackboneConfig(widths=(64, 128, 256, 512)),
+                               channels=256, num_areas=128, iterations=5, heads=4, seed=0)
         rng = np.random.default_rng(20)
         img = rng.integers(0, 256, (3, 64, 64)).astype(np.uint8)
         probs = model.predict_probabilities(img)
@@ -445,9 +479,9 @@ class TestFullScale:
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-5)
 
     def test_area_count_must_fit_feature_grid(self):
-        model = DualContextNet(num_classes=9, backbone=BackboneConfig.full_scale(),
-                               channels=256, num_areas=128, iterations=5, heads=4,
-                               seed=0)
+        model = DualContextNet(num_classes=9,
+                               backbone=BackboneConfig(widths=(64, 128, 256, 512)),
+                               channels=256, num_areas=128, iterations=5, heads=4, seed=0)
         img = np.zeros((3, 48, 48), np.uint8)  # 12x12 features, no 128-cell grid
         with pytest.raises(ConfigError):
             model.predict_probabilities(img)

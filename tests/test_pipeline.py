@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hsiseg import autodiff as ad
 from hsiseg import pipeline
-from hsiseg.errors import ContractError, DataError
+from hsiseg.errors import ConfigError, ContractError, DataError
 from hsiseg.formats import ClassMap, LabelMap, ProbMap
 from hsiseg.model import BackboneConfig, DualContextNet
 from hsiseg.pipeline import (
@@ -385,6 +385,17 @@ class TestInference:
         par = run_inference_set(model, tri, jobs=3)[0]
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_work(self, tmp_path, monkeypatch, jobs):
+        def refuse(net, batch):
+            raise AssertionError("predicted with an invalid job count")
+
+        monkeypatch.setattr(pipeline, "predict_image", refuse)
+        out = tmp_path / "pred"
+        with pytest.raises(ConfigError, match=f"jobs must be at least 1, got {jobs}"):
+            run_inference_set(_tiny_model(), _tiny_set(2), out_dir=out, jobs=jobs)
+        assert not out.exists()
 
     @pytest.mark.parametrize("size, chunks", [(32, _chunk_sizes(10, 32)),
                                               (128, _chunk_sizes(2, 128))])
