@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import pipeline, trispec
 from .cluster import run_clustering
 from .config import Config, describe_defaults, dump_config, load_config
-from .errors import ConfigError, GradCheckError
+from .errors import ConfigError, FormatError, GradCheckError
 from .formats import (
     LabelMap,
     labels_to_image,
@@ -108,30 +107,18 @@ def _cmd_predict(args):
     return 0
 
 
-def _indexed_files(directory, pattern):
-    rx = re.compile(pattern)
-    found = []
-    for name in os.listdir(directory):
-        m = rx.fullmatch(name)
-        if m:
-            found.append((int(m.group(1)), os.path.join(directory, name)))
-    return [path for _, path in sorted(found)]
-
-
 def _cmd_vote(args):
-    if args.mode == "hard":
-        paths = _indexed_files(args.in_dir, r"cls_(\d+)\.lbl")
-        if not paths:
-            raise ConfigError(f"no cls_<i>.lbl maps under {args.in_dir}")
-        fused = pipeline.hard_vote([load_class_map(p) for p in paths])
-    else:
-        paths = _indexed_files(args.in_dir, r"prob_(\d+)\.prb")
-        if not paths:
-            raise ConfigError(f"no prob_<i>.prb maps under {args.in_dir}")
-        fused = pipeline.soft_vote([load_probmap(p) for p in paths])
+    """Fuse the maps 0..M-1 that ``predict`` wrote, M being its report's image count."""
+    with open(os.path.join(args.in_dir, "report.json")) as fh:
+        count = json.load(fh).get("images")
+    if not isinstance(count, int):
+        raise FormatError(f"report.json under {args.in_dir} holds no image count")
+    name, load, vote = (("cls_{}.lbl", load_class_map, pipeline.hard_vote) if args.mode == "hard"
+                        else ("prob_{}.prb", load_probmap, pipeline.soft_vote))
+    fused = vote(load(os.path.join(args.in_dir, name.format(i))) for i in range(count))
     save_class_map(fused, args.out)
     write_class_ppm(fused, args.out + ".ppm")
-    print(f"{args.mode} vote over {len(paths)} maps written to {args.out}")
+    print(f"{args.mode} vote over {count} maps written to {args.out}")
     return 0
 
 

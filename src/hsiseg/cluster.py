@@ -152,15 +152,10 @@ def soft_update_centers(tokens, affinity, prev_centers):
 
     Returns ((B, Z, C) centers, used_fallback).
     """
-    mass = affinity.sum(axis=1)  # (B, Z)
+    mass = affinity.sum(axis=1)[..., None]  # (B, Z, 1)
     weighted = affinity.transpose(0, 2, 1) @ tokens  # (B, Z, C)
     zero = mass <= 0.0
-    if zero.any():
-        keep = zero.astype(mass.dtype)
-        fresh = weighted / (mass + keep)[..., None]
-        keep = keep[..., None]
-        return keep * prev_centers + (1.0 - keep) * fresh, True
-    return weighted / mass[..., None], False
+    return np.where(zero, prev_centers, weighted / np.where(zero, 1, mass)), bool(zero.any())
 
 
 def hard_assign(affinity, layout):

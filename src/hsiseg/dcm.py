@@ -33,7 +33,7 @@ class DualContextModule(Module):
     """
 
     def __init__(self, channels, num_areas, iterations, heads, mlp_ratio,
-                 use_input, use_regional, use_global, rng, prefix="context"):
+                 use_input, use_regional, use_global, rng):
         if not (use_input or use_regional or use_global):
             raise ConfigError("at least one context stream must be enabled")
         if num_areas < 4 or iterations < 1:
@@ -53,12 +53,12 @@ class DualContextModule(Module):
         self.summary_encoder = None
         self.context_decoder = None
         if use_regional:
-            self.pos_map = PositionalConv2d(channels, rng, prefix=f"{prefix}.pos_map")
-            self.region_encoder = TransformerEncoderLayer(cfg, rng, prefix=f"{prefix}.region")
+            self.pos_map = PositionalConv2d(channels, rng, prefix="context.pos_map")
+            self.region_encoder = TransformerEncoderLayer(cfg, rng, prefix="context.region")
         if use_global:
-            self.pos_seq = PositionalConv1d(channels, rng, prefix=f"{prefix}.pos_seq")
-            self.summary_encoder = TransformerEncoderLayer(cfg, rng, prefix=f"{prefix}.summary")
-            self.context_decoder = TransformerDecoderLayer(cfg, rng, prefix=f"{prefix}.decode")
+            self.pos_seq = PositionalConv1d(channels, rng, prefix="context.pos_seq")
+            self.summary_encoder = TransformerEncoderLayer(cfg, rng, prefix="context.summary")
+            self.context_decoder = TransformerDecoderLayer(cfg, rng, prefix="context.decode")
 
     @property
     def out_channels(self):

@@ -122,9 +122,6 @@ class ProbMap:
             raise DataError("probability map contains negative scores")
         self.values = v
 
-    def argmax_map(self):
-        return ClassMap(self.values.argmax(axis=0) + 1)
-
 
 # -- writing and framed reading -----------------------------------------------
 

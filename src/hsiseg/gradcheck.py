@@ -40,13 +40,13 @@ def _sample_bilinear(rng):
 
 
 def _encoder_layer(rng):
-    layer = TransformerEncoderLayer(AttentionConfig(channels=8, heads=2, mlp_ratio=2), rng)
+    layer = TransformerEncoderLayer(AttentionConfig(channels=8, heads=2, mlp_ratio=2), rng, "layer")
     pos = Tensor(rng.standard_normal((1, 5, 8)))
     return (lambda x, *params: layer(x, pos=pos)), [(1, 5, 8)], layer.parameters()
 
 
 def _decoder_layer(rng):
-    layer = TransformerDecoderLayer(AttentionConfig(channels=8, heads=2, mlp_ratio=2), rng)
+    layer = TransformerDecoderLayer(AttentionConfig(channels=8, heads=2, mlp_ratio=2), rng, "layer")
     memory = Tensor(rng.standard_normal((1, 4, 8)))
     return (lambda x, *params: layer(x, memory)), [(1, 7, 8)], layer.parameters()
 

@@ -122,7 +122,7 @@ class MultiHeadAttention(Module):
     one batched pass (one per size bucket of groups).
     """
 
-    def __init__(self, cfg: AttentionConfig, rng, prefix="attn"):
+    def __init__(self, cfg: AttentionConfig, rng, prefix):
         c, h, d = cfg.channels, cfg.heads, cfg.head_dim
         self.cfg = cfg
         # drawn head by head (q, k, v per head), then joined column-wise
@@ -200,7 +200,7 @@ class MultiHeadAttention(Module):
 class Mlp(Module):
     """linear(C -> ratio*C), ReLU, linear(-> C)."""
 
-    def __init__(self, cfg: AttentionConfig, rng, prefix="mlp"):
+    def __init__(self, cfg: AttentionConfig, rng, prefix):
         c, hidden = cfg.channels, cfg.mlp_ratio * cfg.channels
         self.w1 = Parameter(uniform_init(rng, (c, hidden), c), name=f"{prefix}.w1")
         self.b1 = Parameter(np.zeros(hidden), name=f"{prefix}.b1")
@@ -228,7 +228,7 @@ class TransformerEncoderLayer(Module):
     call encodes every group as if it ran alone.
     """
 
-    def __init__(self, cfg: AttentionConfig, rng, prefix="layer"):
+    def __init__(self, cfg: AttentionConfig, rng, prefix):
         self.attn = MultiHeadAttention(cfg, rng, prefix=f"{prefix}.attn")
         self.mlp = Mlp(cfg, rng, prefix=f"{prefix}.mlp")
         self.norm1 = _Norm(cfg.channels, f"{prefix}.norm1")
@@ -252,7 +252,7 @@ class TransformerDecoderLayer(TransformerEncoderLayer):
 class PositionalConv2d(Module):
     """3x3 depthwise convolution over a (B, C, H, W) batch of maps, padding 1."""
 
-    def __init__(self, channels, rng, prefix="pos2d"):
+    def __init__(self, channels, rng, prefix):
         self.weight = Parameter(uniform_init(rng, (channels, 3, 3), 9), name=f"{prefix}.weight")
         self.bias = Parameter(np.zeros(channels), name=f"{prefix}.bias")
 
@@ -266,7 +266,7 @@ class PositionalConv1d(Module):
 
     Runs as a depthwise 1x3 convolution of the tokens viewed as a (B, C, 1, N) map."""
 
-    def __init__(self, channels, rng, prefix="pos1d"):
+    def __init__(self, channels, rng, prefix):
         self.weight = Parameter(uniform_init(rng, (channels, 3), 3), name=f"{prefix}.weight")
         self.bias = Parameter(np.zeros(channels), name=f"{prefix}.bias")
 

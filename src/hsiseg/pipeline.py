@@ -96,18 +96,15 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
           out_dir=None) -> TrainResult:
     """Momentum SGD over whole tri-spectral images with a poly learning rate.
 
-    Every batch stacks complete images into one (B, 3, H, W) array and runs
-    them through the net on one tape, against the shared label map. With a
+    Every batch indexes (B, 3, H, W) complete images from the set's array and
+    runs them through the net on one tape, against the shared label map. With a
     positive ``val_fraction`` a seeded slice of images is held out and scored
     by voting after each epoch. Writes train_log.csv / val_log.csv when
     ``out_dir`` is given.
     """
     m = tri_set.capacity
-    if m == 0:
-        raise ContractError("empty tri-spectral set")
     if labels.labeled_count == 0:
         raise ContractError("training needs at least one labeled pixel")
-    _check_same_shapes([img.shape for img in tri_set.images], "images")
     rng = np.random.default_rng(cfg.seed)
 
     indices = rng.permutation(m)
@@ -115,9 +112,8 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
     if cfg.val_fraction > 0 and m > 1:
         n_val = min(m - 1, max(1, round(cfg.val_fraction * m)))
     holdout = sorted(int(i) for i in indices[:n_val])
-    held_out = TriSpectralSet([tri_set.images[i] for i in holdout],
-                              [tri_set.manifest[i] for i in holdout],
-                              [tri_set.degenerate[i] for i in holdout])
+    held_out = TriSpectralSet(tri_set.images[holdout], [tri_set.manifest[i] for i in holdout],
+                              [tri_set.degenerate[i] for i in holdout]) if holdout else None
     train_idx = np.array(sorted(int(i) for i in indices[n_val:]))
 
     per_epoch = math.ceil(len(train_idx) / cfg.batch)
@@ -134,7 +130,7 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
             chunk = order[b * cfg.batch:(b + 1) * cfg.batch]
             lr = ad.poly_lr(cfg.lr, iteration, max_iter, cfg.poly_power)
             model.zero_grad()
-            loss = model.loss_on(np.stack([tri_set.images[int(i)] for i in chunk]), labels)
+            loss = model.loss_on(tri_set.images[chunk], labels)
             if not np.isfinite(loss.data).all():
                 raise DataError(
                     f"non-finite loss {loss.item()!r} at iteration {iteration} on images "
@@ -169,12 +165,12 @@ def predict_image(model, image):
 
 
 def classify(prob: ProbMap) -> ClassMap:
-    return prob.argmax_map()
+    return ClassMap(prob.values.argmax(axis=0) + 1)
 
 
-def _check_same_shapes(shapes, what="maps"):
+def _check_same_shapes(shapes):
     if len(set(shapes)) != 1:
-        raise ContractError(f"{what} disagree on shape: {sorted(set(shapes))}")
+        raise ContractError(f"maps disagree on shape: {sorted(set(shapes))}")
 
 
 def hard_vote(maps) -> ClassMap:
@@ -239,21 +235,18 @@ def run_inference_set(model, tri_set: TriSpectralSet, out_dir=None, truth=None,
     """Predict every image, fuse by both voting schemes, optionally score and persist.
 
     Images are predicted in chunks of ``max(1, PIXELS_PER_CHUNK // (H * W))``,
-    one batched forward per chunk; ``jobs > 1`` spreads the chunks over a
-    thread pool. Returns (prob maps, hard-vote map, soft-vote map, report
-    dict). The report names the degenerate images. Per-image probability maps
-    and class maps plus both fused maps are written under ``out_dir`` when
-    given; metrics require ``truth``.
+    one batched forward per chunk, each chunk a view of the set's array;
+    ``jobs > 1`` spreads the chunks over a thread pool. Returns (prob maps,
+    hard-vote map, soft-vote map, report dict). The report names the
+    degenerate images. Per-image probability and class maps plus both fused
+    maps are written under ``out_dir`` when given; metrics require ``truth``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     images = tri_set.images
-    if not images:
-        raise ContractError("run_inference_set needs at least one image")
-    _check_same_shapes([img.shape for img in images], "images")
-    h, w = images[0].shape[-2:]
+    h, w = images.shape[2:]
     size = max(1, PIXELS_PER_CHUNK // (h * w))
-    chunks = [np.stack(images[i:i + size]) for i in range(0, len(images), size)]
+    chunks = [images[i:i + size] for i in range(0, len(images), size)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(lambda chunk: predict_image(model, chunk), chunks))

@@ -34,11 +34,30 @@ class BandTriplet:
 
 @dataclass
 class TriSpectralSet:
-    """The generated ensemble: M three-channel uint8 images plus their manifest."""
+    """The generated ensemble: M three-channel uint8 images plus their manifest.
 
-    images: list  # of (3, H, W) uint8 arrays
+    A list of (3, H, W) images is stacked into one array. Building a set
+    checks its rules: at least one image, one shape for all, and one
+    manifest entry and one degenerate flag per image."""
+
+    images: np.ndarray  # (M, 3, H, W) uint8
     manifest: list  # of BandTriplet, aligned with images
     degenerate: list  # per-image flat-histogram flags
+
+    def __post_init__(self):
+        if len(self.images) == 0:
+            raise ContractError("empty tri-spectral set")
+        if not isinstance(self.images, np.ndarray):
+            shapes = {img.shape for img in self.images}
+            if len(shapes) != 1:
+                raise ContractError(f"images disagree on shape: {sorted(shapes)}")
+            self.images = np.stack(self.images)
+        if self.images.ndim != 4 or self.images.shape[1] != 3 or self.images.dtype != np.uint8:
+            raise ContractError(f"images must be (M, 3, H, W) uint8, got "
+                                f"{self.images.shape} {self.images.dtype}")
+        if len(self.manifest) != self.capacity or len(self.degenerate) != self.capacity:
+            raise ContractError(f"{self.capacity} images but {len(self.manifest)} manifest "
+                                f"entries and {len(self.degenerate)} degenerate flags")
 
     @property
     def capacity(self):
@@ -114,11 +133,10 @@ def generate_set(cube: HsiCube, groups: int, out_dir=None, wavelength_descending
     """Run the full pipeline; optionally persist images and manifest to ``out_dir``."""
     planes = group_and_aggregate(cube, groups)
     triplets = enumerate_triplets(groups)
-    images, flags = [], []
-    for t in triplets:
-        img, degenerate = linear_stretch(render_raw(planes, t, wavelength_descending))
-        images.append(img)
-        flags.append(degenerate)
+    images = np.empty((len(triplets), 3) + planes.shape[1:], dtype=np.uint8)
+    flags = [False] * len(triplets)
+    for i, t in enumerate(triplets):
+        images[i], flags[i] = linear_stretch(render_raw(planes, t, wavelength_descending))
     ts = TriSpectralSet(images, triplets, flags)
     if out_dir is not None:
         write_set(ts, out_dir)
@@ -127,31 +145,33 @@ def generate_set(cube: HsiCube, groups: int, out_dir=None, wavelength_descending
 
 def write_set(ts: TriSpectralSet, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    lines = []
-    for i, (img, t) in enumerate(zip(ts.images, ts.manifest)):
+    for i, img in enumerate(ts.images):
         write_ppm(img, os.path.join(out_dir, f"img_{i}.ppm"))
-        lines.append(f"{i} {t.g1} {t.g2} {t.g3}\n")
-    write_atomic(os.path.join(out_dir, "manifest.txt"), "".join(lines))
+    write_atomic(os.path.join(out_dir, "manifest.txt"), "".join(
+        f"{i} {t.g1} {t.g2} {t.g3}\n" for i, t in enumerate(ts.manifest)))
 
 
 def load_set(in_dir) -> TriSpectralSet:
     manifest_path = os.path.join(in_dir, "manifest.txt")
     if not os.path.exists(manifest_path):
         raise FormatError(f"no manifest.txt under {in_dir}")
-    images, manifest = [], []
     with open(manifest_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"bad manifest line {line!r}")
-            idx, g1, g2, g3 = (int(x) for x in parts)
-            images.append(read_ppm(os.path.join(in_dir, f"img_{idx}.ppm")))
-            manifest.append(BandTriplet(g1, g2, g3))
-    if not images:
+        lines = [line.strip() for line in fh if line.strip()]
+    if not lines:
         raise FormatError(f"empty manifest under {in_dir}")
+    images, manifest = None, []
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"bad manifest line {line!r}")
+        idx, g1, g2, g3 = (int(x) for x in parts)
+        manifest.append(BandTriplet(g1, g2, g3))
+        img = read_ppm(os.path.join(in_dir, f"img_{idx}.ppm"))
+        if images is None:
+            images = np.empty((len(lines),) + img.shape, dtype=np.uint8)
+        elif img.shape != images[0].shape:
+            raise ContractError(f"images disagree on shape: {sorted({img.shape, images[0].shape})}")
+        images[i] = img
     # a stretched image is all zeros exactly when its histogram was flat: any
     # other image maps its 98th percentile to 255
     return TriSpectralSet(images, manifest, [not img.any() for img in images])

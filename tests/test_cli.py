@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hsiseg.cli import dispatch
 from hsiseg.config import DEFAULTS, Config, parse_config
 from hsiseg.errors import ConfigError
 from hsiseg.formats import load_class_map, load_labels, read_ppm
+from hsiseg.trispec import TriSpectralSet, load_set, write_set
 
 TINY_CONFIG = """
 # desk-tiny settings for CI
@@ -263,6 +265,41 @@ class TestTrainPredictVoteEval:
         assert set(data) == {"oa", "aa", "kappa", "per_class", "n_labeled"}
         assert 0.0 <= data["oa"] <= 1.0
         assert data["n_labeled"] == 256
+
+    def test_vote_fuses_only_the_maps_of_the_last_predict(self, scene, trained, tmp_path,
+                                                          capsys):
+        """A 4-image predict over a 10-image one leaves stale maps 4..9 behind;
+        vote reads the report's count and fuses maps 0..3 alone."""
+        small = tmp_path / "small"
+        full = load_set(scene / "set")
+        write_set(TriSpectralSet(full.images[:4], full.manifest[:4], full.degenerate[:4]), small)
+        pred_dir = tmp_path / "pred"
+        for set_dir in (scene / "set", small):
+            assert dispatch(["predict", "--ckpt", str(trained), "--set", str(set_dir),
+                             "--out", str(pred_dir)]) == 0
+        assert (pred_dir / "cls_9.lbl").exists()
+        capsys.readouterr()
+        for mode in ("hard", "soft"):
+            out = tmp_path / f"{mode}.lbl"
+            assert dispatch(["vote", "--mode", mode, "--in", str(pred_dir),
+                             "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"{mode} vote over 4 maps written to {out}\n"
+            np.testing.assert_array_equal(load_class_map(out).labels,
+                                          load_class_map(pred_dir / f"vote_{mode}.lbl").labels)
+
+    @pytest.mark.parametrize("missing", ["report.json", "cls_1.lbl", "prob_1.prb"])
+    def test_vote_without_its_report_or_a_map_is_an_error(self, scene, trained, tmp_path,
+                                                        capsys, missing):
+        pred_dir = tmp_path / "pred"
+        assert dispatch(["predict", "--ckpt", str(trained), "--set", str(scene / "set"),
+                         "--out", str(pred_dir)]) == 0
+        (pred_dir / missing).unlink()
+        capsys.readouterr()
+        mode = "soft" if missing.endswith(".prb") else "hard"
+        assert dispatch(["vote", "--mode", mode, "--in", str(pred_dir),
+                         "--out", str(tmp_path / "fused.lbl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
 
     @pytest.mark.parametrize("override", [
         "train.epochs = 0", "train.batch = 0", "dcm.heads = 0", "dcm.mlp_ratio = 0", "dcm.C = 0",

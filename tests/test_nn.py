@@ -135,7 +135,7 @@ class TestMultiHeadAttention:
 
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng, "attn")
         with pytest.raises(ContractError):
             block(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 6))))
 
@@ -145,7 +145,7 @@ class TestMultiHeadAttention:
         ((1, 3, 8), (1, 3, 8), (3,)),  # mask without its batch axis
     ])
     def test_batch_and_mask_shapes_checked(self, q_shape, kv_shape, mask_shape):
-        block = MultiHeadAttention(AttentionConfig(8, 2, 2), np.random.default_rng(4))
+        block = MultiHeadAttention(AttentionConfig(8, 2, 2), np.random.default_rng(4), "attn")
         mask = None if mask_shape is None else np.ones(mask_shape, bool)
         with pytest.raises(ContractError):
             block(Tensor(np.zeros(q_shape)), Tensor(np.zeros(kv_shape)), key_mask=mask)
@@ -154,7 +154,7 @@ class TestMultiHeadAttention:
         """Cross-attention with a (B, Nk) key mask, and grouped self-attention
         with batch-wide group ids, give each image its own result."""
         rng = np.random.default_rng(34)
-        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng, "attn")
         xq, xkv = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 4, 8))
         mask = np.array([[True, False, True, True], [False, False, True, False],
                          [True, True, True, True]])
@@ -173,7 +173,7 @@ class TestMultiHeadAttention:
 
     def test_single_head_is_projected_attention(self):
         rng = np.random.default_rng(5)
-        block = MultiHeadAttention(AttentionConfig(4, 1, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(4, 1, 2), rng, "attn")
         x = Tensor(rng.standard_normal((1, 5, 4)))
         q = ad.matmul(x, Tensor(block.wq.data[:, 0:4])) + Tensor(block.bq.data[0:4])
         k = ad.matmul(x, Tensor(block.wk.data[:, 0:4])) + Tensor(block.bk.data[0:4])
@@ -183,7 +183,7 @@ class TestMultiHeadAttention:
 
     def test_self_attention_permutation_equivariance(self):
         rng = np.random.default_rng(6)
-        block = MultiHeadAttention(AttentionConfig(8, 4, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 4, 2), rng, "attn")
         x = rng.standard_normal((7, 8))
         perm = rng.permutation(7)
         out = block(Tensor(x[None]), Tensor(x[None])).data[0]
@@ -192,7 +192,7 @@ class TestMultiHeadAttention:
 
     def test_cross_attention_key_permutation_invariance(self):
         rng = np.random.default_rng(7)
-        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng, "attn")
         x1 = Tensor(rng.standard_normal((1, 3, 8)))
         x2 = rng.standard_normal((5, 8))
         out = block(x1, Tensor(x2[None])).data
@@ -201,7 +201,7 @@ class TestMultiHeadAttention:
 
     def test_single_key_broadcasts_one_vector(self):
         rng = np.random.default_rng(8)
-        block = MultiHeadAttention(AttentionConfig(6, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(6, 2, 2), rng, "attn")
         x1 = Tensor(rng.standard_normal((1, 4, 6)))
         x2 = Tensor(rng.standard_normal((1, 1, 6)))
         out = block(x1, x2).data[0]
@@ -210,7 +210,7 @@ class TestMultiHeadAttention:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(9)
-        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng, "attn")
         x1 = rng.standard_normal((3, 8))
         x2 = rng.standard_normal((5, 8))
         out = block(Tensor(x1[None]), Tensor(x2[None])).data[0]
@@ -219,7 +219,7 @@ class TestMultiHeadAttention:
     def test_eight_parameter_tensors_for_any_head_count(self):
         rng = np.random.default_rng(15)
         for heads in (1, 2, 4, 8):
-            block = MultiHeadAttention(AttentionConfig(8, heads, 2), rng)
+            block = MultiHeadAttention(AttentionConfig(8, heads, 2), rng, "attn")
             assert [p.shape for p in block.parameters()] == [(8, 8)] * 3 + [(8,)] * 3 \
                 + [(8, 8), (8,)]
 
@@ -228,7 +228,7 @@ class TestMultiHeadAttention:
         """Float64: the batched pass and a per-head loop over column slices
         agree on the output and on every gradient to 1e-12."""
         rng = np.random.default_rng(16 + heads)
-        block = MultiHeadAttention(AttentionConfig(8, heads, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, heads, 2), rng, "attn")
         for p in block.parameters():
             p.data = p.data + 0.1 * rng.standard_normal(p.shape)  # nonzero biases
         xq, xkv = rng.standard_normal((1, 3, 8)), rng.standard_normal((1, 5, 8))
@@ -262,7 +262,7 @@ class TestMultiHeadAttention:
         same seed, so seeded nets start where per-head nets did."""
         c, heads = 8, 4
         d = c // heads
-        block = MultiHeadAttention(AttentionConfig(c, heads, 2), np.random.default_rng(21))
+        block = MultiHeadAttention(AttentionConfig(c, heads, 2), np.random.default_rng(21), "attn")
         rng = np.random.default_rng(21)
         for i in range(heads):
             cols = slice(i * d, (i + 1) * d)
@@ -300,14 +300,14 @@ class TestGroupedAttention:
 
     def test_one_group_equals_plain_self_attention(self):
         rng = np.random.default_rng(30)
-        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 2, 2), rng, "attn")
         x = Tensor(rng.standard_normal((1, 7, 8)))
         np.testing.assert_allclose(block(x, x, groups=np.zeros((1, 7), int)).data,
                                    block(x, x).data, rtol=0, atol=1e-13)
 
     def test_each_group_attends_alone(self):
         rng = np.random.default_rng(31)
-        block = MultiHeadAttention(AttentionConfig(8, 4, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(8, 4, 2), rng, "attn")
         x = rng.standard_normal((12, 8))
         labels = np.array([1, 0, 1, 2, 2, 1, 0, 1, 5, 1, 2, 1])
         t = Tensor(x[None])
@@ -320,7 +320,7 @@ class TestGroupedAttention:
 
     def test_groups_need_self_attention(self):
         rng = np.random.default_rng(32)
-        block = MultiHeadAttention(AttentionConfig(4, 2, 2), rng)
+        block = MultiHeadAttention(AttentionConfig(4, 2, 2), rng, "attn")
         x, y = Tensor(rng.standard_normal((1, 5, 4))), Tensor(rng.standard_normal((1, 5, 4)))
         labels = np.zeros((1, 5), int)
         with pytest.raises(ContractError):
@@ -334,7 +334,7 @@ class TestGroupedAttention:
 
     def test_grouped_layer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(33)
-        layer = TransformerEncoderLayer(AttentionConfig(4, 2, 2), rng)
+        layer = TransformerEncoderLayer(AttentionConfig(4, 2, 2), rng, "layer")
         pos = Tensor(rng.standard_normal((1, 9, 4)))
         w = Tensor(rng.standard_normal((1, 9, 4)))
         labels = np.array([[0, 2, 2, 0, 2, 3, 2, 3, 6]])
@@ -346,7 +346,7 @@ class TestGroupedAttention:
 class TestEncoderLayer:
     def test_zero_projections_identity_on_base(self):
         rng = np.random.default_rng(10)
-        layer = TransformerEncoderLayer(AttentionConfig(8, 2, 2), rng)
+        layer = TransformerEncoderLayer(AttentionConfig(8, 2, 2), rng, "layer")
         zero_parameters(layer)
         x = Tensor(rng.standard_normal((1, 6, 8)))
         p = Tensor(rng.standard_normal((1, 6, 8)))
@@ -355,7 +355,7 @@ class TestEncoderLayer:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        layer = TransformerEncoderLayer(AttentionConfig(4, 2, 2), rng)
+        layer = TransformerEncoderLayer(AttentionConfig(4, 2, 2), rng, "layer")
         pos = Tensor(rng.standard_normal((1, 4, 4)))
         w = Tensor(rng.standard_normal((1, 4, 4)))
         err = grad_check(lambda x: (layer(x, pos=pos) * w).sum(),
@@ -366,7 +366,7 @@ class TestEncoderLayer:
 class TestDecoderLayer:
     def test_zero_projections_identity(self):
         rng = np.random.default_rng(12)
-        layer = TransformerDecoderLayer(AttentionConfig(8, 2, 2), rng)
+        layer = TransformerDecoderLayer(AttentionConfig(8, 2, 2), rng, "layer")
         zero_parameters(layer)
         x = Tensor(rng.standard_normal((1, 5, 8)))
         memory = Tensor(rng.standard_normal((1, 3, 8)))
@@ -374,7 +374,7 @@ class TestDecoderLayer:
 
     def test_single_key_adds_shared_vector(self):
         rng = np.random.default_rng(13)
-        layer = TransformerDecoderLayer(AttentionConfig(6, 2, 2), rng)
+        layer = TransformerDecoderLayer(AttentionConfig(6, 2, 2), rng, "layer")
         zero_parameters(layer, (".mlp.w2", ".mlp.b2"))  # isolate the attention residual
         x = Tensor(rng.standard_normal((1, 4, 6)))
         memory = Tensor(rng.standard_normal((1, 1, 6)))
@@ -384,7 +384,7 @@ class TestDecoderLayer:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
-        layer = TransformerDecoderLayer(AttentionConfig(4, 2, 2), rng)
+        layer = TransformerDecoderLayer(AttentionConfig(4, 2, 2), rng, "layer")
         memory = Tensor(rng.standard_normal((1, 3, 4)))
         w = Tensor(rng.standard_normal((1, 5, 4)))
         err = grad_check(lambda x: (layer(x, memory) * w).sum(),
@@ -395,7 +395,7 @@ class TestDecoderLayer:
 class TestPositionalEncodings:
     def test_identity_kernel_2d(self):
         rng = np.random.default_rng(15)
-        pos = PositionalConv2d(3, rng)
+        pos = PositionalConv2d(3, rng, "pos2d")
         pos.weight.data[:] = 0
         pos.weight.data[:, 1, 1] = 1
         pos.bias.data[:] = 0
@@ -404,7 +404,7 @@ class TestPositionalEncodings:
 
     def test_sum_preserving_kernel_constant_interior(self):
         rng = np.random.default_rng(16)
-        pos = PositionalConv2d(2, rng)
+        pos = PositionalConv2d(2, rng, "pos2d")
         pos.weight.data[:] = 1.0 / 9.0
         pos.bias.data[:] = 0
         f = Tensor(np.full((1, 2, 6, 6), 4.0))
@@ -415,7 +415,7 @@ class TestPositionalEncodings:
 
     def test_zero_kernel_gives_bias_map(self):
         rng = np.random.default_rng(17)
-        pos = PositionalConv2d(2, rng)
+        pos = PositionalConv2d(2, rng, "pos2d")
         pos.weight.data[:] = 0
         pos.bias.data[:] = np.array([1.5, -2.0])
         out = pos(Tensor(rng.standard_normal((1, 2, 4, 4)))).data[0]
@@ -424,7 +424,7 @@ class TestPositionalEncodings:
 
     def test_identity_kernel_1d(self):
         rng = np.random.default_rng(18)
-        pos = PositionalConv1d(4, rng)
+        pos = PositionalConv1d(4, rng, "pos1d")
         pos.weight.data[:] = 0
         pos.weight.data[:, 1] = 1
         pos.bias.data[:] = 0
@@ -436,7 +436,7 @@ class TestPositionalEncodings:
         """out[n] = b + sum_t w[:, t] * x[n + t - 1], zero outside the
         sequence; gradients of x, w and b follow from the same sum."""
         rng = np.random.default_rng(30 + n)
-        pos = PositionalConv1d(3, rng)
+        pos = PositionalConv1d(3, rng, "pos1d")
         pos.bias.data[:] = rng.standard_normal(3)
         x = Tensor(rng.standard_normal((1, n, 3)), requires_grad=True)
         out = pos(x)
@@ -459,6 +459,6 @@ class TestPositionalEncodings:
 
     def test_single_token_sequence(self):
         rng = np.random.default_rng(19)
-        pos = PositionalConv1d(3, rng)
+        pos = PositionalConv1d(3, rng, "pos1d")
         out = pos(Tensor(rng.standard_normal((1, 1, 3))))
         assert out.shape == (1, 1, 3)

@@ -428,12 +428,24 @@ class TestInference:
         np.testing.assert_array_equal(soft.labels, soft_vote(probs).labels)
 
     def test_mixed_image_sizes_rejected(self):
-        images = _tiny_set(1, 16).images + _tiny_set(1, 32).images
-        tri = TriSpectralSet(images, [BandTriplet(3, 2, 1), BandTriplet(4, 2, 1)], [False] * 2)
+        images = [*_tiny_set(1, 16).images, *_tiny_set(1, 32).images]
         with pytest.raises(ContractError, match="images disagree on shape"):
-            run_inference_set(_tiny_model(), tri)
-        with pytest.raises(ContractError, match="images disagree on shape"):
-            train(tri, _sparse_labels(), _tiny_model(), TrainConfig(epochs=1, batch=1))
+            TriSpectralSet(images, [BandTriplet(3, 2, 1), BandTriplet(4, 2, 1)], [False] * 2)
+
+    def test_prediction_chunks_are_views_of_the_set(self, monkeypatch):
+        tri = _tiny_set(10, 32)
+        seen = []
+        real = pipeline.predict_image
+
+        def spy(model, chunk):
+            seen.append(chunk)
+            return real(model, chunk)
+
+        monkeypatch.setattr(pipeline, "predict_image", spy)
+        run_inference_set(_tiny_model(), tri)
+        assert [len(chunk) for chunk in seen] == _chunk_sizes(10, 32)
+        assert all(np.shares_memory(chunk, tri.images) for chunk in seen)
+        np.testing.assert_array_equal(np.concatenate(seen), tri.images)
 
     def test_report_names_degenerate_images(self):
         tri = _tiny_set(3)

@@ -48,3 +48,16 @@ def test_ab_infer_runs_one_tree_against_itself(tmp_path, capsys):
 
 def test_ab_infer_times_the_training_schedule(tmp_path, capsys):
     _ab_one_tree_against_itself(tmp_path, capsys, "--workload", "ensemble", "--op", "train")
+
+
+def test_fingerprint_prints_the_same_lines_twice(capsys):
+    fingerprint = _load("fingerprint")
+    runs = []
+    for _ in range(2):
+        fingerprint.main()
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 7
+    assert re.fullmatch(r"net B=4 32x32 Z=16 loss [\d.e-]+ \(float32\)", runs[0][0])
+    assert re.fullmatch(r"generate_set G=15 195 bands 32x32: 455 images [0-9a-f]{64}",
+                        runs[0][-1])

@@ -9,6 +9,7 @@ from hsiseg.errors import ConfigError, ContractError
 from hsiseg.formats import HsiCube
 from hsiseg.trispec import (
     BandTriplet,
+    TriSpectralSet,
     compute_capacity,
     enumerate_triplets,
     generate_set,
@@ -16,6 +17,7 @@ from hsiseg.trispec import (
     linear_stretch,
     load_set,
     render_raw,
+    write_set,
 )
 
 
@@ -217,8 +219,10 @@ class TestGenerateSet:
         loaded = load_set(out)
         assert loaded.capacity == ts.capacity
         assert loaded.manifest == ts.manifest
-        for a, b in zip(loaded.images, ts.images):
-            np.testing.assert_array_equal(a, b)
+        for images in (ts.images, loaded.images):
+            assert isinstance(images, np.ndarray)
+            assert images.dtype == np.uint8 and images.shape == (4, 3, 8, 8)
+        np.testing.assert_array_equal(loaded.images, ts.images)
 
     def test_round_trip_keeps_degenerate_flags(self, tmp_path):
         """Bands 0-8 constant: groups 1-3 are flat, so only triplet (3, 2, 1) is degenerate."""
@@ -246,3 +250,49 @@ class TestGenerateSet:
         generate_set(cube, 4, out_dir=d2)
         for name in sorted(p.name for p in d1.iterdir()):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _images(m, size=4):
+    return np.random.default_rng(6).integers(0, 256, (m, 3, size, size), dtype=np.uint8)
+
+
+class TestTriSpectralSet:
+    def test_a_list_is_stacked_and_an_array_is_kept(self):
+        images = _images(3)
+        manifest = enumerate_triplets(5)[:3]
+        stacked = TriSpectralSet(list(images), manifest, [False] * 3)
+        assert isinstance(stacked.images, np.ndarray)
+        np.testing.assert_array_equal(stacked.images, images)
+        assert TriSpectralSet(images[:2], manifest[:2], [False] * 2).images.base is images
+
+    @pytest.mark.parametrize("images", [[], np.zeros((0, 3, 4, 4), np.uint8)])
+    def test_empty_set_rejected(self, images):
+        with pytest.raises(ContractError, match="empty tri-spectral set"):
+            TriSpectralSet(images, [], [])
+
+    def test_mixed_shapes_rejected(self):
+        images = [_images(1, 4)[0], _images(1, 8)[0]]
+        with pytest.raises(ContractError, match="images disagree on shape"):
+            TriSpectralSet(images, enumerate_triplets(4)[:2], [False] * 2)
+
+    @pytest.mark.parametrize("images", [
+        np.zeros((2, 4, 4, 4), np.uint8), np.zeros((2, 3, 4), np.uint8),
+        np.zeros((2, 3, 4, 4), np.float32)])
+    def test_not_m_by_3_by_h_by_w_uint8_rejected(self, images):
+        with pytest.raises(ContractError, match=r"must be \(M, 3, H, W\) uint8"):
+            TriSpectralSet(images, enumerate_triplets(4)[:2], [False] * 2)
+
+    @pytest.mark.parametrize("manifest_len, flags_len", [(4, 2), (2, 4), (1, 2), (2, 0)])
+    def test_misaligned_manifest_or_flags_rejected(self, manifest_len, flags_len):
+        with pytest.raises(ContractError, match="2 images but"):
+            TriSpectralSet(_images(2), enumerate_triplets(5)[:manifest_len],
+                           [False, False, True, True][:flags_len])
+
+    def test_load_set_rejects_mixed_shapes(self, tmp_path):
+        """A 1x1 image would broadcast into an 8x8 slot without the check."""
+        write_set(TriSpectralSet(_images(2, 8), enumerate_triplets(4)[:2], [False] * 2), tmp_path)
+        write_set(TriSpectralSet(_images(1, 1), enumerate_triplets(4)[:1], [False]),
+                  tmp_path / "small")
+        (tmp_path / "small" / "img_0.ppm").replace(tmp_path / "img_1.ppm")
+        with pytest.raises(ContractError, match="images disagree on shape"):
+            load_set(tmp_path)
