@@ -633,14 +633,12 @@ class SGD:
     def step(self, lr):
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
-                name = getattr(p, "name", "") or "<unnamed>"
-                raise ContractError(f"parameter {name} has no gradient")
+                raise ContractError(f"parameter {p.name or '<unnamed>'} has no gradient")
             v *= self.momentum
             v += p.grad
             if self.weight_decay:
                 v += self.weight_decay * p.data
-            group = getattr(p, "group", "head")
-            rate = lr * (self.head_lr_multiplier if group == "head" else 1.0)
+            rate = lr * (self.head_lr_multiplier if p.group == "head" else 1.0)
             p.data -= rate * v
 
 

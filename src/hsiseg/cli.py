@@ -110,8 +110,9 @@ def _cmd_predict(args):
 def _cmd_vote(args):
     """Fuse the maps 0..M-1 that ``predict`` wrote, M being its report's image count."""
     with open(os.path.join(args.in_dir, "report.json")) as fh:
-        count = json.load(fh).get("images")
-    if not isinstance(count, int):
+        report = json.load(fh)
+    count = report.get("images") if isinstance(report, dict) else None
+    if type(count) is not int:
         raise FormatError(f"report.json under {args.in_dir} holds no image count")
     name, load, vote = (("cls_{}.lbl", load_class_map, pipeline.hard_vote) if args.mode == "hard"
                         else ("prob_{}.prb", load_probmap, pipeline.soft_vote))

@@ -36,7 +36,7 @@ CKPT_MAGIC = b"CKPT"
 # -- domain types ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HsiCube:
     """Radiance cube stored band-sequentially: values[k] is band k's H x W plane."""
 
@@ -51,7 +51,7 @@ class HsiCube:
             raise DataError(f"cube needs bands >= 3 and positive extents, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DataError("cube contains non-finite values")
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     @property
     def bands(self):
@@ -66,7 +66,7 @@ class HsiCube:
         return self.values.shape[2]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelMap:
     """Per-pixel class ids; 0 means unlabeled."""
 
@@ -78,7 +78,7 @@ class LabelMap:
             raise DataError(f"label map must be 2-D, got {lab.shape}")
         if lab.min(initial=0) < 0 or lab.max(initial=0) > 0xFFFF:
             raise DataError("labels must fit in uint16")
-        self.labels = lab.astype(np.uint16)
+        object.__setattr__(self, "labels", lab.astype(np.uint16))
 
     @property
     def num_classes(self):
@@ -89,7 +89,7 @@ class LabelMap:
         return int(np.count_nonzero(self.labels))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassMap:
     """Dense prediction: every pixel carries a class id in 1..C."""
 
@@ -103,10 +103,10 @@ class ClassMap:
             raise DataError("class maps must label every pixel (ids start at 1)")
         if lab.max(initial=1) > 0xFFFF:
             raise DataError("class ids must fit in uint16")
-        self.labels = lab.astype(np.uint16)
+        object.__setattr__(self, "labels", lab.astype(np.uint16))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbMap:
     """Per-pixel class scores, class-major layout (C, H, W)."""
 
@@ -120,7 +120,7 @@ class ProbMap:
             raise DataError("probability map contains non-finite values")
         if v.size and v.min() < 0:
             raise DataError("probability map contains negative scores")
-        self.values = v
+        object.__setattr__(self, "values", v)
 
 
 # -- writing and framed reading -----------------------------------------------

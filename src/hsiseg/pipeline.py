@@ -6,7 +6,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,9 @@ class Metrics:
 
 @dataclass
 class TrainResult:
-    model: object
     train_rows: list  # (iteration, lr, loss)
     val_rows: list  # (epoch, oa_hard, oa_soft)
-    holdout: list = field(default_factory=list)  # image indices kept for validation
+    holdout: list  # image indices kept for validation
 
 
 def iteration_count(num_images, epochs, batch):
@@ -155,7 +154,7 @@ def train(tri_set: TriSpectralSet, labels: LabelMap, model, cfg: TrainConfig,
             f"{it},{lr!r},{loss!r}\n" for it, lr, loss in train_rows))
         write_atomic(os.path.join(out_dir, "val_log.csv"), "epoch,oa_hard,oa_soft\n" + "".join(
             f"{epoch},{oa_hard!r},{oa_soft!r}\n" for epoch, oa_hard, oa_soft in val_rows))
-    return TrainResult(model, train_rows, val_rows, holdout)
+    return TrainResult(train_rows, val_rows, holdout)
 
 
 def predict_image(model, image):

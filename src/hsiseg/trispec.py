@@ -32,7 +32,7 @@ class BandTriplet:
             raise ContractError(f"triplet {self} must be strictly descending and >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriSpectralSet:
     """The generated ensemble: M three-channel uint8 images plus their manifest.
 
@@ -51,7 +51,7 @@ class TriSpectralSet:
             shapes = {img.shape for img in self.images}
             if len(shapes) != 1:
                 raise ContractError(f"images disagree on shape: {sorted(shapes)}")
-            self.images = np.stack(self.images)
+            object.__setattr__(self, "images", np.stack(self.images))
         if self.images.ndim != 4 or self.images.shape[1] != 3 or self.images.dtype != np.uint8:
             raise ContractError(f"images must be (M, 3, H, W) uint8, got "
                                 f"{self.images.shape} {self.images.dtype}")

@@ -301,6 +301,18 @@ class TestTrainPredictVoteEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and missing in err
 
+    @pytest.mark.parametrize("report", ["[]", '{"images": true}'])
+    def test_vote_on_a_report_without_an_image_count_is_an_error(self, scene, trained, tmp_path,
+                                                                capsys, report):
+        pred_dir = tmp_path / "pred"
+        assert dispatch(["predict", "--ckpt", str(trained), "--set", str(scene / "set"),
+                         "--out", str(pred_dir)]) == 0
+        (pred_dir / "report.json").write_text(report)
+        capsys.readouterr()
+        assert dispatch(["vote", "--mode", "hard", "--in", str(pred_dir),
+                         "--out", str(tmp_path / "fused.lbl")]) == 1
+        assert capsys.readouterr().err.startswith("error: report.json under ")
+
     @pytest.mark.parametrize("override", [
         "train.epochs = 0", "train.batch = 0", "dcm.heads = 0", "dcm.mlp_ratio = 0", "dcm.C = 0",
         "train.val_fraction = 2", "train.val_fraction = 1", "train.val_fraction = -0.1",

@@ -1,5 +1,6 @@
 """Round-trip, layout, error-path and atomic-write tests for the artifact formats."""
 
+import dataclasses
 import os
 import struct
 
@@ -29,6 +30,28 @@ from hsiseg.formats import (
     write_atomic,
     write_ppm,
 )
+from hsiseg.trispec import BandTriplet, TriSpectralSet
+
+RECORDS = {
+    "cube": lambda: HsiCube(np.zeros((3, 2, 2))),
+    "labels": lambda: LabelMap(np.zeros((2, 2), np.int64)),
+    "class map": lambda: ClassMap(np.ones((2, 2), np.int64)),
+    "prob map": lambda: ProbMap(np.zeros((2, 2, 2))),
+    "tri-spectral set": lambda: TriSpectralSet([np.zeros((3, 2, 2), np.uint8)],
+                                               [BandTriplet(3, 2, 1)], [False]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_records_refuse_field_assignment(kind):
+    """A built record keeps the fields its constructor checked; its arrays stay writeable."""
+    record = RECORDS[kind]()
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field.name, value)
+        if isinstance(value, np.ndarray):
+            assert value.flags.writeable
 
 
 class TestCube:

@@ -64,12 +64,12 @@ def _desk_model():
         channels=32, num_areas=16, iterations=3, heads=2, seed=1, dtype=np.float64)
 
 
-def _tiny_set(n_images=4, size=16, seed=0):
+def _tiny_set(n_images=4, size=16, seed=0, degenerate=None):
     rng = np.random.default_rng(seed)
     images = [rng.integers(0, 256, (3, size, size)).astype(np.uint8)
               for _ in range(n_images)]
     manifest = [BandTriplet(3 + i, 2, 1) for i in range(n_images)]
-    return TriSpectralSet(images, manifest, [False] * n_images)
+    return TriSpectralSet(images, manifest, degenerate or [False] * n_images)
 
 
 def _sparse_labels(size=16, classes=3, per_class=6, seed=0):
@@ -229,8 +229,7 @@ class TestTrain:
         assert result.val_rows[-1] == (1, report["hard"]["oa"], report["soft"]["oa"])
 
     def test_holdout_keeps_degenerate_flags(self, monkeypatch):
-        tri = _tiny_set()
-        tri.degenerate = [True, False, True, False]
+        tri = _tiny_set(degenerate=[True, False, True, False])
         seen = []
         real = pipeline.run_inference_set
 
@@ -448,8 +447,6 @@ class TestInference:
         np.testing.assert_array_equal(np.concatenate(seen), tri.images)
 
     def test_report_names_degenerate_images(self):
-        tri = _tiny_set(3)
-        tri.degenerate = [False, True, False]
+        tri = _tiny_set(3, degenerate=[False, True, False])
         assert run_inference_set(_tiny_model(), tri)[3]["degenerate"] == [1]
-        tri.degenerate = []
-        assert run_inference_set(_tiny_model(), tri)[3]["degenerate"] == []
+        assert run_inference_set(_tiny_model(), _tiny_set(3))[3]["degenerate"] == []
